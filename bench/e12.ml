@@ -47,7 +47,9 @@ let big_table =
     };
   t
 
-let tests =
+(* Built when E12 runs, not at start-up: [Engine.create] points the flight
+   recorder's clock at its engine. *)
+let tests () =
   [
     Test.make ~name:"checksum-1460B" (Staged.stage (fun () ->
         Packet.Checksum.of_bytes payload_1460 ~pos:0 ~len:1460));
@@ -70,6 +72,17 @@ let tests =
         done;
         let rec drain () = match Stdext.Heap.pop h with Some _ -> drain () | None -> () in
         drain ()));
+    (* The engine's own queue: 64 events of one preallocated closure
+       scheduled, then run; after the first round the engine allocates
+       nothing. *)
+    Test.make ~name:"engine-after-step-64" (Staged.stage (
+        let e = Engine.create () in
+        let f () = () in
+        fun () ->
+          for i = 0 to 63 do
+            Engine.after e (i * 37 mod 64) f
+          done;
+          while Engine.step e do () done));
     Test.make ~name:"rng-bits64" (Staged.stage (let r = Stdext.Rng.create 1 in
         fun () -> Stdext.Rng.bits64 r));
   ]
@@ -97,7 +110,7 @@ let run () =
             | Some _ | None -> [ name; "-" ] :: acc)
           analyzed []
         |> List.concat)
-      tests
+      (tests ())
   in
   Util.table [ "operation"; "ns/run" ] rows;
   Util.note

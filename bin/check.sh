@@ -55,6 +55,21 @@ else
   echo "  run 2: $d2"
   exit 1
 fi
+# Cross-commit replay: the digests must also equal the values measured
+# at commit f072765, so a change that reorders events (a new event
+# queue, say) cannot pass by being merely self-consistent.  Update the
+# pin only with a deliberate change to simulation semantics, and record
+# the change and the new values in CHANGES.md.
+pinned='"schedule_digest": "984d729c612dd3ded3035c6e10757e28"
+"run_digest": "4eefe2cefcb689316ca2eaaee3e8fbd9"'
+if [ "$d1" = "$pinned" ]; then
+  echo "  digests equal the pinned values"
+else
+  echo "FAIL: replay digests differ from the pinned values"
+  echo "  pinned: $pinned"
+  echo "  got:    $d1"
+  exit 1
+fi
 rm -rf _replay1 _replay2
 
 # The overhead contract: merely carrying the (disabled) tracing

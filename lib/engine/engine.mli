@@ -35,7 +35,9 @@ val to_sec : int -> float
 
 val schedule : t -> at:int -> (unit -> unit) -> unit
 (** [schedule t ~at f] runs [f] when the clock reaches [at].  Scheduling in
-    the past is an error ([Invalid_argument]). *)
+    the past is an error ([Invalid_argument]).  Once the queue has grown
+    to its working size, the engine allocates nothing per event: the
+    closure is the caller's. *)
 
 val after : t -> int -> (unit -> unit) -> unit
 (** [after t d f] runs [f] [d] microseconds from now. *)
@@ -43,12 +45,11 @@ val after : t -> int -> (unit -> unit) -> unit
 (** Cancellable timers, used for protocol timeouts that are usually
     cancelled before firing (retransmission, delayed ACK, reassembly).
 
-    Near-future timers are kept on a hashed timing wheel (O(1) arm, no
-    sifting; O(1) disarm, a flag) rather than the main event heap;
-    far-future timers fall back to the heap.  The two queues are merged
-    in exact (time, sequence) order and cancelled shells are discarded
-    identically on both, so firing order — and therefore every
-    simulation — is identical to a single-heap engine. *)
+    A timer shares the one event queue with every other event and fires
+    in the same order: by time, then by scheduling order.  Arming one
+    allocates only its handle; cancelling sets a flag, and the cancelled
+    shell stays queued until its time comes, when it is discarded
+    unrun. *)
 module Timer : sig
   type handle
 
@@ -62,20 +63,13 @@ module Timer : sig
   (** [true] while armed and not yet fired. *)
 end
 
-val set_timer_wheel : t -> bool -> unit
-(** Route subsequent {!Timer.start} calls through the timing wheel ([true],
-    the default) or the event heap ([false]).  Affects performance only;
-    firing order is identical either way.  Existing armed timers stay
-    where they are. *)
-
-val timer_wheel : t -> bool
-(** Current {!set_timer_wheel} setting. *)
-
 val timer_starts : t -> int
 (** Cumulative count of {!Timer.start} calls, for instrumentation. *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled timer shells). *)
+(** Number of events still queued, cancelled timer shells included: a
+    shell is counted until the clock reaches its time and it is
+    discarded. *)
 
 val step : t -> bool
 (** Execute the next live event, discarding any cancelled shells ahead of

@@ -1,20 +1,14 @@
 (** Binary min-heap keyed by [(int, int)] pairs.
 
-    The event queue of the simulation engine needs a priority queue ordered
-    by (time, insertion sequence): the sequence component makes the pop
-    order of same-time events deterministic (FIFO in insertion order),
-    which keeps whole simulations reproducible. *)
+    Ordered by (key, sequence): the sequence component makes the pop order
+    of equal keys deterministic (FIFO in insertion order), which keeps
+    whole simulations reproducible. *)
 
 type 'a t
 (** Heap of values of type ['a]. *)
 
 val create : unit -> 'a t
 (** Fresh empty heap. *)
-
-val length : 'a t -> int
-(** Number of stored elements. *)
-
-val is_empty : 'a t -> bool
 
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
 (** [push t ~key ~seq v] inserts [v] ordered primarily by [key] and, among
@@ -23,23 +17,3 @@ val push : 'a t -> key:int -> seq:int -> 'a -> unit
 val pop : 'a t -> (int * int * 'a) option
 (** Remove and return the minimum as [(key, seq, value)], or [None] if the
     heap is empty. *)
-
-val peek : 'a t -> (int * int * 'a) option
-(** Like {!pop} without removing. *)
-
-val min_key : 'a t -> int
-(** Key of the minimum element without allocating.  @raise Not_found when
-    empty.  The engine's hot loop uses this instead of {!peek} so that
-    inspecting the queue head costs no tuple. *)
-
-val min_seq : 'a t -> int
-(** Sequence of the minimum element without allocating.  @raise Not_found
-    when empty.  With {!min_key} this lets the engine merge the heap with
-    the timer wheel in exact (key, seq) order. *)
-
-val pop_min : 'a t -> 'a
-(** Remove the minimum and return its value without allocating.
-    @raise Not_found when empty. *)
-
-val clear : 'a t -> unit
-(** Drop all elements, retaining the backing array's capacity. *)
