@@ -1,7 +1,7 @@
 #!/bin/sh
-# Repo check: format (when ocamlformat is available), build, tests, bench
-# smoke, the survivability gauntlet smoke, and the gates over the
-# committed BENCH_trace.json (DESIGN.md §observability),
+# Repo check: format (when ocamlformat is available), build, tests, lint,
+# the smoke pass over every experiment, the E16 replay check, and the
+# gates over the committed BENCH_trace.json (DESIGN.md §observability),
 # BENCH_topology.json (DESIGN.md §scale engine),
 # BENCH_survivability.json (DESIGN.md §survivability gauntlet),
 # BENCH_accounting.json (DESIGN.md §accounting-at-scale),
@@ -125,9 +125,6 @@ if [ -f BENCH_topology.json ]; then
 else
   echo "  skipped (no BENCH_topology.json; run: dune exec bench/main.exe -- --only E17)"
 fi
-
-echo "== gauntlet smoke"
-make --no-print-directory gauntlet-smoke >/dev/null
 
 # The survivability contract (Clark goal 1): every TCP conversation in
 # the E16 gauntlet survives flaps, a gateway crash with soft-state

@@ -17,9 +17,7 @@
      obs       - every [drop_reason] constructor maps (via
                  [drop_reason_counter]) to a metrics key that is
                  registered somewhere, and is constructed at >= 1 site
-                 outside its defining module; every [dropped_*]/
-                 [drops_*] counter bump sits adjacent to a trace
-                 emission in its statement sequence.
+                 outside its defining module.
      mli       - every library module has an interface file.
 
    The collection pass also records [@@fastpath] spans for the
@@ -812,92 +810,6 @@ let find_counter_mapping fi =
       | _ -> None)
     fi.fi_structure
 
-let emit_call_names = [ "drop"; "record_drop" ]
-
-let is_emitish e =
-  let found = ref false in
-  let it =
-    { Ast_iterator.default_iterator with
-      expr =
-        (fun sub e ->
-          (match e.pexp_desc with
-          | Pexp_apply ({ pexp_desc = Pexp_ident lid; _ }, _) ->
-              let name = last_exn (flatten_lid lid.txt) in
-              if
-                contains_substring name "emit"
-                || (String.length name >= 6 && String.sub name 0 6 = "trace_")
-                || List.mem name emit_call_names
-              then found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.expr sub e);
-    }
-  in
-  it.expr it e;
-  !found
-
-let bump_field_of e =
-  match e.pexp_desc with
-  | Pexp_setfield (_, lid, _) ->
-      let name = last_exn (flatten_lid lid.txt) in
-      if
-        (String.length name >= 8 && String.sub name 0 8 = "dropped_")
-        || (String.length name >= 6 && String.sub name 0 6 = "drops_")
-      then Some name
-      else None
-  | _ -> None
-
-let check_bump_adjacency fi =
-  let rec flatten e =
-    match e.pexp_desc with
-    | Pexp_sequence (a, b) -> a :: flatten b
-    | _ -> [ e ]
-  in
-  let rec walk in_seq e =
-    match e.pexp_desc with
-    | Pexp_sequence _ ->
-        let stmts = Array.of_list (flatten e) in
-        Array.iteri
-          (fun i s ->
-            (match bump_field_of s with
-            | Some field ->
-                let neighbor_ok =
-                  (i > 0 && is_emitish stmts.(i - 1))
-                  || (i + 1 < Array.length stmts && is_emitish stmts.(i + 1))
-                in
-                if not neighbor_ok then
-                  report_loc ~rule:"obs" s.pexp_loc
-                    (Printf.sprintf
-                       "drop counter bump '%s' has no adjacent trace emission"
-                       field)
-            | None -> ());
-            walk true s)
-          stmts
-    | _ ->
-        (match bump_field_of e with
-        | Some field when not in_seq ->
-            report_loc ~rule:"obs" e.pexp_loc
-              (Printf.sprintf
-                 "drop counter bump '%s' has no adjacent trace emission" field)
-        | _ -> ());
-        descend e
-  and descend e =
-    let it =
-      { Ast_iterator.default_iterator with
-        expr = (fun _sub e -> walk false e);
-      }
-    in
-    (* descend one level manually so nested sequences get re-flattened *)
-    match e.pexp_desc with
-    | Pexp_sequence _ -> walk false e
-    | _ -> Ast_iterator.default_iterator.expr it e
-  in
-  let it =
-    { Ast_iterator.default_iterator with
-      expr = (fun _sub e -> walk false e);
-    }
-  in
-  it.structure it fi.fi_structure
-
 let check_obs ctx =
   let strings = all_string_constants ctx.files in
   List.iter
@@ -943,8 +855,7 @@ let check_obs ctx =
                          c
                          (Filename.basename fi.fi_path)))
                 ctors))
-    ctx.files;
-  List.iter check_bump_adjacency ctx.files
+    ctx.files
 
 (* ---------------------------------------------------------------- *)
 

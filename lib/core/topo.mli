@@ -58,9 +58,6 @@ val region_gw_addr : int -> Packet.Addr.t
     aggregate; transit-link /30 addresses are not globally routed.
     Region-local services (the E21 resolver) bind here. *)
 
-val region_attach : t -> int -> int
-(** The core gateway a region hangs off. *)
-
 val region_hops : t -> int -> int -> int
 (** Gateway hops between two regions (0 within a region): uplink, the
     BFS core distance between their attach gateways, far uplink.  The

@@ -206,7 +206,6 @@ let meta_of t i = t.f_meta.(i)
 let pkts_of t i = t.pkts.(i)
 let bytes_of t i = t.bytes.(i)
 let err_pkts_of t i = t.err_pkts.(i)
-let err_bytes_of t i = t.err_bytes.(i)
 
 let min_bytes t = if t.n = 0 then 0 else t.bytes.(t.heap.(0))
 

@@ -49,7 +49,6 @@ val meta_of : t -> int -> int
 val pkts_of : t -> int -> int
 val bytes_of : t -> int -> int
 val err_pkts_of : t -> int -> int
-val err_bytes_of : t -> int -> int
 
 val min_bytes : t -> int
 (** Byte count of the smallest tracked flow (the admission bar); 0 when

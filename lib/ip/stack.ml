@@ -47,7 +47,7 @@ type t = {
   net : Netsim.t;
   eng : Engine.t;
   node : Netsim.node_id;
-  mutable fwd : bool;
+  fwd : bool;
   mutable fast : bool;
   table : Route_table.t;
   (* Destination -> route memo: a direct-mapped array of
@@ -72,9 +72,6 @@ type t = {
   mutable next_id : int;
   c : counters;
   mutable accounting : Accounting.t option;
-  mutable tap : (rx:bool -> bytes -> unit) option;
-      (* Observes every frame this stack receives or transmits, for pcap
-         capture at the host rather than on a link. *)
   mutable on_flush : (unit -> unit) list;
       (* Soft-state subscribers above IP (resolver caches, name-server
          state): run after flush_soft_state clears the stack's own soft
@@ -85,17 +82,31 @@ let net t = t.net
 let engine t = t.eng
 let node_id t = t.node
 let table t = t.table
-let set_forwarding t v = t.fwd <- v
 let forwarding t = t.fwd
 let set_fast_path t v = t.fast <- v
 let fast_path t = t.fast
 let counters t = t.c
 let accounting t = t.accounting
-let set_tap t tap = t.tap <- tap
 
-(* Drop paths are cold, so the [want] check can live inside the helper;
-   hot-path events guard inline before constructing anything. *)
-let trace_drop t ~src ~dst reason =
+(* The one writer of the [dropped_*] counters: every IP-layer drop is
+   counted and traced by this call, so the counter and the recorder
+   cannot disagree.  Drop paths are cold, so the [want] check can live
+   here; hot-path events guard inline before constructing anything. *)
+let drop t reason ~src ~dst =
+  let c = t.c in
+  (match reason with
+  | Trace.Event.Malformed -> c.dropped_malformed <- c.dropped_malformed + 1
+  | Trace.Event.No_route -> c.dropped_no_route <- c.dropped_no_route + 1
+  | Trace.Event.Ttl_expired -> c.dropped_ttl <- c.dropped_ttl + 1
+  | Trace.Event.No_proto -> c.dropped_no_proto <- c.dropped_no_proto + 1
+  | Trace.Event.Not_forwarding ->
+      c.dropped_not_forwarding <- c.dropped_not_forwarding + 1
+  | Trace.Event.Df_needed -> c.dropped_df <- c.dropped_df + 1
+  | Trace.Event.Unroutable_icmp ->
+      c.dropped_unroutable_icmp <- c.dropped_unroutable_icmp + 1
+  | Trace.Event.Queue_full | Trace.Event.Link_loss | Trace.Event.Link_down
+  | Trace.Event.Link_mtu | Trace.Event.Reassembly_timeout ->
+      invalid_arg "Ip.Stack.drop: not an IP-layer drop reason");
   if Trace.want Trace.Cls.ip then
     Trace.emit (Trace.Event.Ip_drop { node = t.node; src; dst; reason })
 
@@ -207,7 +218,6 @@ let fragment_payload ~mtu (h : Ipv4.header) payload =
   cut 0 []
 
 let transmit t iface ~priority frame =
-  (match t.tap with Some f -> f ~rx:false frame | None -> ());
   (* [Netsim.send] clones the frame into the link queue; that copy is the
      hand-off to the simulated wire, not fast-path overhead. *)
   ignore (Netsim.send t.net t.node ~priority ~iface frame [@fastpath.exempt])
@@ -225,8 +235,7 @@ let emit t iface (h : Ipv4.header) payload =
     Ok ()
   end
   else if h.Ipv4.dont_fragment then begin
-    t.c.dropped_df <- t.c.dropped_df + 1;
-    trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.Df_needed;
+    drop t Trace.Event.Df_needed ~src:h.Ipv4.src ~dst:h.Ipv4.dst;
     Error `Too_big
   end
   else begin
@@ -264,11 +273,10 @@ let icmp_to t ~dst msg =
          but the loss is no longer silent: it is counted and recorded, so
          a black hole of ICMP errors shows up in the ledger instead of
          vanishing (the accountability gap this subsystem closes). *)
-      t.c.dropped_unroutable_icmp <- t.c.dropped_unroutable_icmp + 1;
       let src =
         match t.iface_addrs with (_, a) :: _ -> a | [] -> Addr.any
       in
-      trace_drop t ~src ~dst Trace.Event.Unroutable_icmp
+      drop t Trace.Event.Unroutable_icmp ~src ~dst
   | Some route ->
       let src =
         match iface_addr t route.Route_table.iface with
@@ -311,8 +319,7 @@ let report_time_exceeded t (h : Ipv4.header) payload =
 let deliver_icmp t (h : Ipv4.header) data =
   match Icmp.decode data with
   | Error _ ->
-      t.c.dropped_malformed <- t.c.dropped_malformed + 1;
-      trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.Malformed
+      drop t Trace.Event.Malformed ~src:h.Ipv4.src ~dst:h.Ipv4.dst
   | Ok (Icmp.Echo_request { id; seq; payload }) ->
       t.c.delivered <- t.c.delivered + 1;
       t.c.echo_replies <- t.c.echo_replies + 1;
@@ -343,9 +350,7 @@ let deliver_local t (h : Ipv4.header) payload =
               trace_deliver t h ~len:(Bytes.length data);
               f h data
           | None ->
-              t.c.dropped_no_proto <- t.c.dropped_no_proto + 1;
-              trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-                Trace.Event.No_proto;
+              drop t Trace.Event.No_proto ~src:h.Ipv4.src ~dst:h.Ipv4.dst;
               report_unreachable t h data Icmp.Protocol_unreachable))
 
 (* Forwarding ----------------------------------------------------------- *)
@@ -355,16 +360,14 @@ let deliver_local t (h : Ipv4.header) payload =
    fragmenting, and the whole road when the fast path is switched off. *)
 let forward t (h : Ipv4.header) payload =
   if h.Ipv4.ttl <= 1 then begin
-    t.c.dropped_ttl <- t.c.dropped_ttl + 1;
-    trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.Ttl_expired;
+    drop t Trace.Event.Ttl_expired ~src:h.Ipv4.src ~dst:h.Ipv4.dst;
     report_time_exceeded t h payload
   end
   else begin
     let h = { h with Ipv4.ttl = h.Ipv4.ttl - 1 } in
     match lookup_route t h.Ipv4.dst with
     | None ->
-        t.c.dropped_no_route <- t.c.dropped_no_route + 1;
-        trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst Trace.Event.No_route;
+        drop t Trace.Event.No_route ~src:h.Ipv4.src ~dst:h.Ipv4.dst;
         report_unreachable t h payload Icmp.Net_unreachable
     | Some route -> (
         t.c.forwarded <- t.c.forwarded + 1;
@@ -412,12 +415,10 @@ let forward_fast t (h : Ipv4.header) frame =
 [@@fastpath]
 
 let receive t ~iface:_ frame =
-  (match t.tap with Some f -> f ~rx:true frame | None -> ());
   if t.fast then begin
     match Ipv4.peek frame with
     | Error _ ->
-        t.c.dropped_malformed <- t.c.dropped_malformed + 1;
-        trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
+        drop t Trace.Event.Malformed ~src:Addr.any ~dst:Addr.any
     | Ok h ->
         t.c.received <- t.c.received + 1;
         if has_addr t h.Ipv4.dst then begin
@@ -442,24 +443,19 @@ let receive t ~iface:_ frame =
         end
         else if t.fwd then forward_fast t h frame
         else begin
-          t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
-          trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-            Trace.Event.Not_forwarding
+          drop t Trace.Event.Not_forwarding ~src:h.Ipv4.src ~dst:h.Ipv4.dst
         end
   end
   else
     match Ipv4.decode frame with
     | Error _ ->
-        t.c.dropped_malformed <- t.c.dropped_malformed + 1;
-        trace_drop t ~src:Addr.any ~dst:Addr.any Trace.Event.Malformed
+        drop t Trace.Event.Malformed ~src:Addr.any ~dst:Addr.any
     | Ok (h, payload) ->
         t.c.received <- t.c.received + 1;
         if has_addr t h.Ipv4.dst then deliver_local t h payload
         else if t.fwd then forward t h payload
         else begin
-          t.c.dropped_not_forwarding <- t.c.dropped_not_forwarding + 1;
-          trace_drop t ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-            Trace.Event.Not_forwarding
+          drop t Trace.Event.Not_forwarding ~src:h.Ipv4.src ~dst:h.Ipv4.dst
         end
 
 (* Origination ---------------------------------------------------------- *)
@@ -480,10 +476,9 @@ let send t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
   else
     match lookup_route t dst with
     | None ->
-        t.c.dropped_no_route <- t.c.dropped_no_route + 1;
-        trace_drop t
+        drop t Trace.Event.No_route
           ~src:(match src with Some s -> s | None -> Addr.any)
-          ~dst Trace.Event.No_route;
+          ~dst;
         Error `No_route
     | Some route ->
         let src =
@@ -501,6 +496,9 @@ let send t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
         t.c.sent <- t.c.sent + 1;
         emit t route.Route_table.iface h payload
 
+let payload_of_frame frame =
+  Bytes.sub frame Ipv4.header_size (Bytes.length frame - Ipv4.header_size)
+
 (* Origination without the payload copy: the caller hands over a full
    frame whose first [Ipv4.header_size] bytes are a reserved prefix and
    whose transport segment is already in place after it.  On the common
@@ -510,9 +508,6 @@ let send t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
    materialized payload anyway).  Counters match [send] exactly. *)
 let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
     ?src ~proto ~dst frame =
-  let payload_of_frame () =
-    Bytes.sub frame Ipv4.header_size (Bytes.length frame - Ipv4.header_size)
-  in
   if has_addr t dst then begin
     (* Loopback: deliver through the engine so ordering matches the wire. *)
     let src = match src with Some s -> s | None -> primary_addr t in
@@ -521,17 +516,16 @@ let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
         ~dst ()
     in
     t.c.sent <- t.c.sent + 1;
-    let payload = payload_of_frame () in
+    let payload = payload_of_frame frame in
     Engine.after t.eng 1 (fun () -> deliver_local t h payload);
     Ok ()
   end
   else
     match lookup_route t dst with
     | None ->
-        t.c.dropped_no_route <- t.c.dropped_no_route + 1;
-        trace_drop t
+        drop t Trace.Event.No_route
           ~src:(match src with Some s -> s | None -> Addr.any)
-          ~dst Trace.Event.No_route;
+          ~dst;
         Error `No_route
     | Some route ->
         let src =
@@ -553,7 +547,7 @@ let send_frame t ?(tos = Ipv4.Tos.Routine) ?(ttl = 64) ?(dont_fragment = false)
           transmit t iface ~priority:(tos = Ipv4.Tos.Low_delay) frame;
           Ok ()
         end
-        else emit t iface h (payload_of_frame ())
+        else emit t iface h (payload_of_frame frame)
 
 let icmp_unreachable t h payload code = report_unreachable t h payload code
 
@@ -569,7 +563,6 @@ let enable_accounting ?mode t =
       t.accounting <- Some acc;
       acc
 
-let reassembly_pending t = Reassembly.pending t.reasm
 let reassembly_expired t = Reassembly.expired t.reasm
 
 (* Crash semantics (fate-sharing, Clark goal 1): everything a gateway
@@ -608,7 +601,7 @@ let metrics_items t () =
     ("echo_replies", i t.c.echo_replies);
     ("route_cache_hits", i t.c.route_cache_hits);
     ("route_cache_misses", i t.c.route_cache_misses);
-    ("reassembly_pending", i (reassembly_pending t));
+    ("reassembly_pending", i (Reassembly.pending t.reasm));
     ("reassembly_expired", i (reassembly_expired t)) ]
 
 let create ?(forwarding = false) net node =
@@ -633,7 +626,6 @@ let create ?(forwarding = false) net node =
       next_id = 1;
       c = new_counters ();
       accounting = None;
-      tap = None;
       on_flush = [];
     }
   in

@@ -11,7 +11,10 @@ module Ipv4 = Packet.Ipv4
 
 type t
 
-type counters = {
+(** Read-only outside this module: each [dropped_*] counter has one
+    writer, the internal drop primitive, which also records the matching
+    [Ip_drop] trace event. *)
+type counters = private {
   mutable sent : int;  (** Datagrams originated here. *)
   mutable received : int;  (** Well-formed datagrams arriving on any iface. *)
   mutable delivered : int;  (** Datagrams handed to a local protocol. *)
@@ -57,7 +60,6 @@ val primary_addr : t -> Addr.t
 (** The first configured address.  @raise Failure when none configured. *)
 
 val table : t -> Route_table.t
-val set_forwarding : t -> bool -> unit
 val forwarding : t -> bool
 
 val set_fast_path : t -> bool -> unit
@@ -156,7 +158,6 @@ val enable_accounting : ?mode:Accounting.mode -> t -> Accounting.t
 val accounting : t -> Accounting.t option
 (** The ledger, if {!enable_accounting} has been called. *)
 
-val reassembly_pending : t -> int
 val reassembly_expired : t -> int
 
 val flush_soft_state : t -> unit
@@ -172,11 +173,6 @@ val on_soft_flush : t -> (unit -> unit) -> unit
     state (resolver caches, name-server health views) register here so a
     crash's amnesia reaches them too.  Subscribers run in registration
     order, after the stack's own soft state is gone. *)
-
-val set_tap : t -> (rx:bool -> bytes -> unit) option -> unit
-(** Attach (or detach) a frame observer at this host: fires once for
-    every frame the stack receives ([rx:true]) and every frame it hands
-    to a link ([rx:false]).  Used for host-side pcap capture. *)
 
 val metrics_items : t -> unit -> (string * Trace.Metrics.value) list
 (** Pull-based metrics source over {!counters} (plus reassembly state),

@@ -251,6 +251,23 @@ let link_between t na nb =
   in
   scan 0
 
+(* The one writer of the [drops_*] counters: every link-layer drop is
+   counted and traced by this call, so the counter and the recorder
+   cannot disagree. *)
+let drop l ~dir ~len reason =
+  let d = l.dirs.(dir) in
+  (match reason with
+  | Trace.Event.Queue_full -> d.drops_queue <- d.drops_queue + 1
+  | Trace.Event.Link_loss -> d.drops_loss <- d.drops_loss + 1
+  | Trace.Event.Link_down -> d.drops_down <- d.drops_down + 1
+  | Trace.Event.Link_mtu -> d.drops_mtu <- d.drops_mtu + 1
+  | Trace.Event.Malformed | Trace.Event.No_route | Trace.Event.Ttl_expired
+  | Trace.Event.No_proto | Trace.Event.Not_forwarding | Trace.Event.Df_needed
+  | Trace.Event.Unroutable_icmp | Trace.Event.Reassembly_timeout ->
+      invalid_arg "Netsim.drop: not a link-layer drop reason");
+  if Trace.want Trace.Cls.link then
+    Trace.emit (Trace.Event.Link_drop { link = l.id; dir; len; reason })
+
 (* Transmission time for [len] bytes on the link, at least 1 us. *)
 let tx_time prof len =
   let bits = len * 8 in
@@ -297,14 +314,8 @@ let rec start_tx t l dir_idx =
           (match l.tap with
           | Some f -> f ~dir:dir_idx frame
           | None -> ());
-          if Stdext.Rng.bool l.rng l.prof.loss then begin
-            dir.drops_loss <- dir.drops_loss + 1;
-            if Trace.want Trace.Cls.link then
-              Trace.emit
-                (Trace.Event.Link_drop
-                   { link = l.id; dir = dir_idx; len;
-                     reason = Trace.Event.Link_loss })
-          end
+          if Stdext.Rng.bool l.rng l.prof.loss then
+            drop l ~dir:dir_idx ~len Trace.Event.Link_loss
           else begin
             let jitter =
               if l.prof.jitter_us = 0 then 0
@@ -322,19 +333,13 @@ let send t nid ?(priority = false) ~iface frame =
   let l = link t lid in
   let dir = l.dirs.(side) in
   let n = node t nid in
-  let drop reason =
-    if Trace.want Trace.Cls.link then
-      Trace.emit
-        (Trace.Event.Link_drop
-           { link = lid; dir = side; len = Bytes.length frame; reason })
-  in
+  let len = Bytes.length frame in
+  let drop reason = drop l ~dir:side ~len reason in
   if (not n.node_up) || not l.up then begin
-    dir.drops_down <- dir.drops_down + 1;
     drop Trace.Event.Link_down;
     false
   end
-  else if Bytes.length frame > l.prof.mtu then begin
-    dir.drops_mtu <- dir.drops_mtu + 1;
+  else if len > l.prof.mtu then begin
     drop Trace.Event.Link_mtu;
     false
   end
@@ -342,7 +347,6 @@ let send t nid ?(priority = false) ~iface frame =
     Queue.length dir.queue + Queue.length dir.queue_hi
     >= l.prof.queue_capacity
   then begin
-    dir.drops_queue <- dir.drops_queue + 1;
     drop Trace.Event.Queue_full;
     false
   end
@@ -351,7 +355,7 @@ let send t nid ?(priority = false) ~iface frame =
     if Trace.want Trace.Cls.link then
       Trace.emit
         (Trace.Event.Link_enqueue
-           { link = lid; dir = side; len = Bytes.length frame; priority });
+           { link = lid; dir = side; len; priority });
     start_tx t l side;
     true
   end
@@ -422,10 +426,3 @@ let stats_items (s : link_stats) =
 
 let link_metrics_items t lid () = stats_items (link_stats t lid)
 let total_metrics_items t () = stats_items (total_stats t)
-
-let queue_length t lid =
-  let l = link t lid in
-  Queue.length l.dirs.(0).queue
-  + Queue.length l.dirs.(0).queue_hi
-  + Queue.length l.dirs.(1).queue
-  + Queue.length l.dirs.(1).queue_hi

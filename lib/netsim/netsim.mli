@@ -138,9 +138,6 @@ val link_stats : t -> link_id -> link_stats
 val total_stats : t -> link_stats
 (** Summed over every link. *)
 
-val queue_length : t -> link_id -> int
-(** Frames currently queued, both directions. *)
-
 (** {1 Observability} *)
 
 val set_link_tap :

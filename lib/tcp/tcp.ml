@@ -147,6 +147,7 @@ type stats = {
   (* RFC 5961 guards. *)
   mutable challenge_acks_out : int;
   mutable rst_rejected_inexact : int;
+  mutable syn_rejected_in_window : int;
   mutable dropped_acks_invalid : int;
 }
 
@@ -277,6 +278,7 @@ let metrics_items t () =
     ("no_listener", i t.gstats.no_listener);
     ("challenge_acks_out", i t.gstats.challenge_acks_out);
     ("rst_rejected_inexact", i t.gstats.rst_rejected_inexact);
+    ("syn_rejected_in_window", i t.gstats.syn_rejected_in_window);
     ("acks_dropped_invalid", i t.gstats.dropped_acks_invalid);
     ("connections", i (Hashtbl.length t.conns)) ]
 let state c = c.st
@@ -455,6 +457,25 @@ let send_ack c =
   in
   emit_segment c ~flags:(Wire.flags ~ack:true ()) ~sack ~seq:c.snd_nxt ()
 
+(* The one writer of the RFC 5961 guard counters: every guard firing is
+   counted and traced by this call, so the counter and the recorder
+   cannot disagree. *)
+let guard c kind =
+  let s = c.tcp.gstats in
+  (match kind with
+  | Trace.Event.Guard_rst_inexact ->
+      s.rst_rejected_inexact <- s.rst_rejected_inexact + 1
+  | Trace.Event.Guard_syn_in_window ->
+      s.syn_rejected_in_window <- s.syn_rejected_in_window + 1
+  | Trace.Event.Guard_ack_invalid ->
+      s.dropped_acks_invalid <- s.dropped_acks_invalid + 1
+  | Trace.Event.Guard_challenge_ack ->
+      s.challenge_acks_out <- s.challenge_acks_out + 1);
+  if Trace.want Trace.Cls.tcp then
+    Trace.emit
+      (Trace.Event.Tcp_guard
+         { node = Ip.Stack.node_id c.tcp.ip; dst = c.remote_addr; kind })
+
 (* Challenge ACK (RFC 5961): the answer to a suspicious but in-window RST
    or SYN.  A legitimate peer that really did lose state replies with an
    exact-sequence RST; a blind attacker learns nothing.  Rate-limited
@@ -470,12 +491,7 @@ let send_challenge_ack c =
   end;
   if t.challenge_count < challenge_ack_limit then begin
     t.challenge_count <- t.challenge_count + 1;
-    t.gstats.challenge_acks_out <- t.gstats.challenge_acks_out + 1;
-    if Trace.want Trace.Cls.tcp then
-      Trace.emit
-        (Trace.Event.Tcp_guard
-           { node = Ip.Stack.node_id t.ip; dst = c.remote_addr;
-             kind = Trace.Event.Guard_challenge_ack });
+    guard c Trace.Event.Guard_challenge_ack;
     send_ack c
   end
 
@@ -870,12 +886,7 @@ let process_ack c (seg : Wire.t) =
     (* RFC 5961 §5.2: an ACK below [snd_una - max_snd_wnd] cannot be a
        late arrival from this connection — drop it outright so blind
        ACK-range probes neither touch cc state nor trigger a reply. *)
-    c.tcp.gstats.dropped_acks_invalid <- c.tcp.gstats.dropped_acks_invalid + 1;
-    if Trace.want Trace.Cls.tcp then
-      Trace.emit
-        (Trace.Event.Tcp_guard
-           { node = Ip.Stack.node_id c.tcp.ip; dst = c.remote_addr;
-             kind = Trace.Event.Guard_ack_invalid });
+    guard c Trace.Event.Guard_ack_invalid;
     false
   end
   else begin
@@ -1031,13 +1042,7 @@ let rec process_segment c (seg : Wire.t) =
       destroy c Reset
     end
     else begin
-      c.tcp.gstats.rst_rejected_inexact <-
-        c.tcp.gstats.rst_rejected_inexact + 1;
-      if Trace.want Trace.Cls.tcp then
-        Trace.emit
-          (Trace.Event.Tcp_guard
-             { node = Ip.Stack.node_id c.tcp.ip; dst = c.remote_addr;
-               kind = Trace.Event.Guard_rst_inexact });
+      guard c Trace.Event.Guard_rst_inexact;
       send_challenge_ack c
     end
   end
@@ -1045,11 +1050,7 @@ let rec process_segment c (seg : Wire.t) =
     (* RFC 5961 §4.2: never tear down a synchronized connection on an
        in-window SYN (RFC 793 said abort).  Challenge-ACK instead; a
        genuinely restarted peer replies with an exact-sequence RST. *)
-    if Trace.want Trace.Cls.tcp then
-      Trace.emit
-        (Trace.Event.Tcp_guard
-           { node = Ip.Stack.node_id c.tcp.ip; dst = c.remote_addr;
-             kind = Trace.Event.Guard_syn_in_window });
+    guard c Trace.Event.Guard_syn_in_window;
     send_challenge_ack c
   end
   else if not seg.Wire.flags.Wire.ack then ()
@@ -1572,6 +1573,7 @@ let create ?(config = default_config) ip =
           no_listener = 0;
           challenge_acks_out = 0;
           rst_rejected_inexact = 0;
+          syn_rejected_in_window = 0;
           dropped_acks_invalid = 0;
         };
       challenge_epoch = 0;
@@ -1591,6 +1593,4 @@ let rcv_nxt c = c.rcv_nxt
 let ooo_segments c = List.length c.ooo
 let rto_us c = Rto.rto c.rto
 let snd_wscale c = c.snd_wscale
-let rcv_wscale c = c.rcv_wscale
-let sack_enabled c = c.sack_ok
 let sacked_bytes c = Sack.sacked_bytes c.scoreboard

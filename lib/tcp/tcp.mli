@@ -184,7 +184,10 @@ val mss : conn -> int
 
 (** {1 Instance-wide} *)
 
-type stats = {
+(** Read-only outside this module: each RFC 5961 guard counter has one
+    writer, the internal guard primitive, which also records the matching
+    [Tcp_guard] trace event. *)
+type stats = private {
   mutable active_opens : int;
   mutable passive_opens : int;
   mutable established : int;
@@ -196,6 +199,9 @@ type stats = {
       (** Challenge ACKs sent for in-window RST/SYN (RFC 5961). *)
   mutable rst_rejected_inexact : int;
       (** In-window RSTs refused because seq <> rcv_nxt. *)
+  mutable syn_rejected_in_window : int;
+      (** In-window SYNs on a synchronized connection, answered with a
+          challenge ACK instead of an abort. *)
   mutable dropped_acks_invalid : int;
       (** ACKs outside [snd_una - max_wnd, snd_max], dropped. *)
 }
@@ -219,12 +225,6 @@ val rto_us : conn -> int
 
 val snd_wscale : conn -> int
 (** Shift applied to windows the peer advertises (0 = no scaling). *)
-
-val rcv_wscale : conn -> int
-(** Shift the peer applies to windows we advertise. *)
-
-val sack_enabled : conn -> bool
-(** Both SYNs carried sack-permitted. *)
 
 val sacked_bytes : conn -> int
 (** Bytes currently held on the sender's SACK scoreboard. *)

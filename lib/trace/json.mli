@@ -22,10 +22,8 @@ val write_file : string -> t -> unit
 (** [to_string] plus a trailing newline, written atomically enough for
     bench artifacts. *)
 
-val number_at : keys:string list -> string -> float option
-(** Walk object members named by [keys] in order and read the number after
-    the last one.  A substring scanner, not a parser: enough to pull a
-    single figure back out of a BENCH_*.json this module wrote. *)
-
 val number_in_file : keys:string list -> string -> float option
-(** [number_at] over a file's contents; [None] when unreadable. *)
+(** Walk object members named by [keys] in order and read the number after
+    the last one, in a file's contents; [None] when unreadable or absent.
+    A substring scanner, not a parser: enough to pull a single figure
+    back out of a BENCH_*.json this module wrote. *)

@@ -38,8 +38,6 @@ val histogram : t -> string -> Stdext.Stats.Summary.t
 
 val observe : Stdext.Stats.Summary.t -> float -> unit
 
-val of_summary : Stdext.Stats.Summary.t -> value
-
 val snapshot : t -> (string * (string * value) list) list
 (** Every source's current values, sources sorted by name; owned
     counters/gauges/histograms appear under source ["self"]. *)

@@ -3,7 +3,7 @@
     Captures use LINKTYPE_RAW (101): each record is a raw IPv4 datagram,
     the exact frames this simulator's links carry, so output opens
     directly in tcpdump or wireshark.  Attach a capture to a link with
-    [Internet.pcap_link] or to a stack with [Ip.Stack.set_tap]. *)
+    [Internet.pcap_link]. *)
 
 type t
 

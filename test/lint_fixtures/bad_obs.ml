@@ -1,10 +1,4 @@
 (* Fixture: observability violations.  A [drop_reason] with no counter
-   mapping, and a drop counter bumped with no trace emission beside it. *)
+   mapping. *)
 
 type drop_reason = Too_long | Bad_magic
-
-type counters = { mutable dropped_long : int }
-
-let c = { dropped_long = 0 }
-
-let note_drop () = c.dropped_long <- c.dropped_long + 1

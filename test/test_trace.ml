@@ -1,8 +1,8 @@
 (* Tests for the observability subsystem (lib/trace): flight-recorder ring
    semantics, class masking, the pcap writer's exact bytes, the metrics
    registry, the mutable accounting ledger, and — the regression the
-   subsystem exists to prevent — that every dropped_* counter bump is
-   matched by a recorded drop event with the same reason. *)
+   subsystem exists to prevent — that every drop reason and TCP guard
+   kind moves its counter by exactly as many events as it records. *)
 
 module Addr = Packet.Addr
 module Ipv4 = Packet.Ipv4
@@ -158,130 +158,219 @@ let test_pcap_on_link () =
     (Trace.Pcap.header_len + (2 * (Trace.Pcap.record_header_len + 10)))
     (Trace.Pcap.byte_length p)
 
-(* --- drop counters vs trace events ---------------------------------------- *)
+(* --- counters vs trace events --------------------------------------------- *)
 
-(* Every dropped_* counter bump must leave a matching drop event in the
-   recorder: the counters say how often, the events say which datagram.
-   Each scenario exercises one bump site and checks counter == event
-   count for its reason. *)
+(* Counter/event parity for every drop reason and every TCP guard kind:
+   the counters say how often, the events say which datagram, and the
+   two must agree.  One row per reason: a scenario that builds a world
+   and returns the metrics source holding the reason's counter plus the
+   action that provokes the drop.  The row passes when the action moves
+   the counter, and moves it by exactly the number of events recorded. *)
 
-let two_hosts () =
+type row = {
+  name : string;
+  key : string;  (** Metrics key of the row's counter. *)
+  traced : unit -> int;  (** The row's events in the recorder. *)
+  scenario :
+    unit -> (unit -> (string * Trace.Metrics.value) list) * (unit -> unit);
+}
+
+let drop reason scenario =
+  { name = Trace.Event.drop_reason_to_string reason;
+    key = Trace.Event.drop_reason_counter reason;
+    traced = (fun () -> List.length (Trace.drops ~reason ()));
+    scenario }
+
+let guard kind ~key scenario =
+  { name = Trace.Event.tcp_guard_kind_to_string kind;
+    key;
+    traced =
+      (fun () ->
+        Trace.count (function
+          | Trace.Event.Tcp_guard g -> g.kind = kind
+          | _ -> false));
+    scenario }
+
+let parity row () =
+  with_trace (fun () ->
+      let source, provoke = row.scenario () in
+      let counter () =
+        match List.assoc_opt row.key (source ()) with
+        | Some (Trace.Metrics.Int n) -> n
+        | _ -> Alcotest.failf "no counter %s in the metrics source" row.key
+      in
+      Trace.clear ();
+      let before = counter () in
+      provoke ();
+      let delta = counter () - before in
+      check Alcotest.bool "scenario provokes the drop" true (delta > 0);
+      check Alcotest.int "counter delta = traced events" delta (row.traced ()))
+
+let parity_case row = Alcotest.test_case row.name `Quick (parity row)
+
+let two_hosts ?(profile = Netsim.profile "test") () =
   let eng = Engine.create () in
   let net = Netsim.create ~seed:3 eng in
   let na = Netsim.add_node net "a" in
   let nb = Netsim.add_node net "b" in
-  ignore (Netsim.add_link net (Netsim.profile "test") na nb);
+  ignore (Netsim.add_link net profile na nb);
   let a = Ip.Stack.create net na in
   let b = Ip.Stack.create net nb in
   Ip.Stack.configure_iface a 0 ~addr:(Addr.v 10 0 1 1) ~prefix_len:24;
   Ip.Stack.configure_iface b 0 ~addr:(Addr.v 10 0 1 2) ~prefix_len:24;
   (eng, a, b)
 
-let drop_count reason = List.length (Trace.drops ~reason ())
+let datagram ?ttl ?more_fragments ~src ~dst text =
+  Ipv4.encode
+    (Ipv4.make_header ?ttl ?more_fragments ~proto:(Ipv4.Proto.Other 99) ~src
+       ~dst ())
+    ~payload:(Bytes.of_string text)
 
-let test_drop_no_route () =
-  with_trace (fun () ->
-      let _eng, a, _b = two_hosts () in
-      (match
-         Ip.Stack.send a ~proto:(Ipv4.Proto.Other 99) ~dst:(Addr.v 10 9 9 9)
-           (Bytes.of_string "x")
-       with
+let no_route () =
+  let _eng, a, _b = two_hosts () in
+  ( Ip.Stack.metrics_items a,
+    fun () ->
+      match
+        Ip.Stack.send a ~proto:(Ipv4.Proto.Other 99) ~dst:(Addr.v 10 9 9 9)
+          (Bytes.of_string "x")
+      with
       | Error _ -> ()
-      | Ok () -> Alcotest.fail "send off-subnet with no route succeeded");
-      check Alcotest.int "counter" 1 (Ip.Stack.counters a).Ip.Stack.dropped_no_route;
-      check Alcotest.int "event" 1 (drop_count Trace.Event.No_route))
+      | Ok () -> Alcotest.fail "send off-subnet with no route succeeded" )
 
-let test_drop_no_proto () =
-  with_trace (fun () ->
-      let eng, a, b = two_hosts () in
+let no_proto () =
+  let eng, a, b = two_hosts () in
+  ( Ip.Stack.metrics_items b,
+    fun () ->
       (match
          Ip.Stack.send a ~proto:(Ipv4.Proto.Other 77) ~dst:(Addr.v 10 0 1 2)
            (Bytes.of_string "nobody home")
        with
       | Ok () -> ()
       | Error _ -> Alcotest.fail "send failed");
-      Engine.run eng;
-      check Alcotest.int "counter" 1 (Ip.Stack.counters b).Ip.Stack.dropped_no_proto;
-      check Alcotest.int "event" 1 (drop_count Trace.Event.No_proto))
+      Engine.run eng )
 
-let test_drop_malformed () =
-  with_trace (fun () ->
-      let _eng, a, _b = two_hosts () in
-      Ip.Stack.receive a ~iface:0 (Bytes.make 6 'z');
-      check Alcotest.int "counter" 1 (Ip.Stack.counters a).Ip.Stack.dropped_malformed;
-      check Alcotest.int "event" 1 (drop_count Trace.Event.Malformed))
+let malformed () =
+  let _eng, a, _b = two_hosts () in
+  ( Ip.Stack.metrics_items a,
+    fun () -> Ip.Stack.receive a ~iface:0 (Bytes.make 6 'z') )
 
-let test_drop_not_forwarding () =
-  with_trace (fun () ->
-      let _eng, a, _b = two_hosts () in
-      let frame =
-        Ipv4.encode
-          (Ipv4.make_header ~proto:(Ipv4.Proto.Other 99)
-             ~src:(Addr.v 10 0 1 2) ~dst:(Addr.v 10 0 9 9) ())
-          ~payload:(Bytes.of_string "transit at a host")
-      in
-      Ip.Stack.receive a ~iface:0 frame;
-      check Alcotest.int "counter" 1
-        (Ip.Stack.counters a).Ip.Stack.dropped_not_forwarding;
-      check Alcotest.int "event" 1 (drop_count Trace.Event.Not_forwarding))
+let not_forwarding () =
+  let _eng, a, _b = two_hosts () in
+  ( Ip.Stack.metrics_items a,
+    fun () ->
+      Ip.Stack.receive a ~iface:0
+        (datagram ~src:(Addr.v 10 0 1 2) ~dst:(Addr.v 10 0 9 9)
+           "transit at a host") )
 
-let test_drop_ttl_and_unroutable_icmp () =
-  (* A transit datagram arrives at a gateway with TTL 1 from a source the
-     gateway has no route back to: the TTL drop is counted and traced,
-     and so is the time-exceeded ICMP that could not be sent — satellite
-     fix for the previously silent [icmp_to] None branch. *)
-  with_trace (fun () ->
-      let eng = Engine.create () in
-      let net = Netsim.create ~seed:3 eng in
-      let ng = Netsim.add_node net "g" in
-      let nx = Netsim.add_node net "x" in
-      let ny = Netsim.add_node net "y" in
-      ignore (Netsim.add_link net (Netsim.profile "test") ng nx);
-      ignore (Netsim.add_link net (Netsim.profile "test") ng ny);
-      let g = Ip.Stack.create ~forwarding:true net ng in
-      Ip.Stack.configure_iface g 0 ~addr:(Addr.v 10 0 1 1) ~prefix_len:24;
-      Ip.Stack.configure_iface g 1 ~addr:(Addr.v 10 0 2 1) ~prefix_len:24;
-      let frame =
-        Ipv4.encode
-          (Ipv4.make_header ~ttl:1 ~proto:(Ipv4.Proto.Other 99)
-             ~src:(Addr.v 192 168 5 5) ~dst:(Addr.v 10 0 2 9) ())
-          ~payload:(Bytes.of_string "dying breath")
-      in
-      Ip.Stack.receive g ~iface:0 frame;
-      let c = Ip.Stack.counters g in
-      check Alcotest.int "ttl counter" 1 c.Ip.Stack.dropped_ttl;
-      check Alcotest.int "ttl event" 1 (drop_count Trace.Event.Ttl_expired);
-      check Alcotest.int "unroutable icmp counter" 1
-        c.Ip.Stack.dropped_unroutable_icmp;
-      check Alcotest.int "unroutable icmp event" 1
-        (drop_count Trace.Event.Unroutable_icmp))
+(* A transit datagram arrives at a gateway with TTL 1 from a source the
+   gateway has no route back to: the TTL drop is counted and traced, and
+   so is the time-exceeded ICMP that could not be sent. *)
+let ttl_from_nowhere () =
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:3 eng in
+  let ng = Netsim.add_node net "g" in
+  let nx = Netsim.add_node net "x" in
+  let ny = Netsim.add_node net "y" in
+  ignore (Netsim.add_link net (Netsim.profile "test") ng nx);
+  ignore (Netsim.add_link net (Netsim.profile "test") ng ny);
+  let g = Ip.Stack.create ~forwarding:true net ng in
+  Ip.Stack.configure_iface g 0 ~addr:(Addr.v 10 0 1 1) ~prefix_len:24;
+  Ip.Stack.configure_iface g 1 ~addr:(Addr.v 10 0 2 1) ~prefix_len:24;
+  ( Ip.Stack.metrics_items g,
+    fun () ->
+      Ip.Stack.receive g ~iface:0
+        (datagram ~ttl:1 ~src:(Addr.v 192 168 5 5) ~dst:(Addr.v 10 0 2 9)
+           "dying breath") )
 
-let test_drop_link_queue_and_down () =
-  with_trace (fun () ->
-      let eng = Engine.create () in
-      let net = Netsim.create ~seed:1 eng in
-      let a = Netsim.add_node net "a" in
-      let b = Netsim.add_node net "b" in
-      let l =
-        Netsim.add_link net
-          (Netsim.profile "tiny" ~bandwidth_bps:1_000_000 ~queue_capacity:1)
-          a b
-      in
-      Netsim.set_handler net b (fun ~iface:_ _ -> ());
-      for _ = 1 to 5 do
-        ignore (Netsim.send net a ~iface:0 (Bytes.make 1000 'q'))
+let df_needed () =
+  let _eng, a, _b =
+    two_hosts ~profile:(Netsim.profile "narrow" ~mtu:576) ()
+  in
+  ( Ip.Stack.metrics_items a,
+    fun () ->
+      match
+        Ip.Stack.send a ~dont_fragment:true ~proto:(Ipv4.Proto.Other 99)
+          ~dst:(Addr.v 10 0 1 2) (Bytes.make 1000 'd')
+      with
+      | Error `Too_big -> ()
+      | Error `No_route | Ok () ->
+          Alcotest.fail "DF datagram over the MTU sent" )
+
+(* A lone first fragment whose siblings never come: the buffer expires
+   once the engine runs past the reassembly timeout. *)
+let reassembly_timeout () =
+  let eng, _a, b = two_hosts () in
+  ( Ip.Stack.metrics_items b,
+    fun () ->
+      Ip.Stack.receive b ~iface:0
+        (datagram ~more_fragments:true ~src:(Addr.v 10 0 1 1)
+           ~dst:(Addr.v 10 0 1 2) "first of many");
+      Engine.run eng )
+
+let one_link profile =
+  let eng = Engine.create () in
+  let net = Netsim.create ~seed:1 eng in
+  let a = Netsim.add_node net "a" in
+  let b = Netsim.add_node net "b" in
+  let l = Netsim.add_link net profile a b in
+  Netsim.set_handler net b (fun ~iface:_ _ -> ());
+  (eng, net, a, l)
+
+let send_frames ?(n = 1) ?(len = 100) profile =
+  let eng, net, a, l = one_link profile in
+  ( Netsim.link_metrics_items net l,
+    fun () ->
+      for _ = 1 to n do
+        ignore (Netsim.send net a ~iface:0 (Bytes.make len 'q'))
       done;
-      Engine.run eng;
+      Engine.run eng )
+
+let link_down () =
+  let _eng, net, a, l = one_link (Netsim.profile "test") in
+  ( Netsim.link_metrics_items net l,
+    fun () ->
       Netsim.set_link_up net l false;
       check Alcotest.bool "send on down link fails" false
-        (Netsim.send net a ~iface:0 (Bytes.make 10 'd'));
-      let st = Netsim.link_stats net l in
-      check Alcotest.bool "some queue drops" true (st.Netsim.drops_queue > 0);
-      check Alcotest.int "queue_full events = drops_queue"
-        st.Netsim.drops_queue
-        (drop_count Trace.Event.Queue_full);
-      check Alcotest.int "link_down events = drops_down" st.Netsim.drops_down
-        (drop_count Trace.Event.Link_down))
+        (Netsim.send net a ~iface:0 (Bytes.make 10 'd')) )
+
+(* An established connection with the scripted peer, then one forgery. *)
+let forged forge () =
+  let w = Scripted_peer.world () in
+  let _conn, a_iss, iss = Scripted_peer.scripted_handshake w ~port:80 in
+  ( Tcp.metrics_items w.Scripted_peer.a_tcp,
+    fun () ->
+      forge w ~a_iss ~iss;
+      Scripted_peer.run w )
+
+let drop_rows =
+  let open Trace.Event in
+  [ drop No_route no_route;
+    drop No_proto no_proto;
+    drop Malformed malformed;
+    drop Not_forwarding not_forwarding;
+    drop Ttl_expired ttl_from_nowhere;
+    drop Unroutable_icmp ttl_from_nowhere;
+    drop Df_needed df_needed;
+    drop Reassembly_timeout reassembly_timeout;
+    drop Queue_full
+      (fun () ->
+        send_frames ~n:5 ~len:1000
+          (Netsim.profile "tiny" ~bandwidth_bps:1_000_000 ~queue_capacity:1));
+    drop Link_down link_down;
+    drop Link_loss (fun () -> send_frames (Netsim.profile "lossy" ~loss:1.0));
+    drop Link_mtu
+      (fun () -> send_frames ~len:1000 (Netsim.profile "narrow" ~mtu:576)) ]
+
+let guard_rows =
+  let open Trace.Event in
+  [ guard Guard_rst_inexact ~key:"rst_rejected_inexact"
+      (forged Scripted_peer.forge_inexact_rst);
+    guard Guard_syn_in_window ~key:"syn_rejected_in_window"
+      (forged Scripted_peer.forge_syn);
+    guard Guard_ack_invalid ~key:"acks_dropped_invalid"
+      (forged Scripted_peer.forge_stale_ack);
+    guard Guard_challenge_ack ~key:"challenge_acks_out"
+      (forged Scripted_peer.forge_syn) ]
 
 (* --- timers ---------------------------------------------------------------- *)
 
@@ -402,15 +491,8 @@ let () =
       ( "pcap",
         [ Alcotest.test_case "golden bytes" `Quick test_pcap_golden;
           Alcotest.test_case "link tap capture" `Quick test_pcap_on_link ] );
-      ( "drops",
-        [ Alcotest.test_case "no_route" `Quick test_drop_no_route;
-          Alcotest.test_case "no_proto" `Quick test_drop_no_proto;
-          Alcotest.test_case "malformed" `Quick test_drop_malformed;
-          Alcotest.test_case "not_forwarding" `Quick test_drop_not_forwarding;
-          Alcotest.test_case "ttl + unroutable icmp" `Quick
-            test_drop_ttl_and_unroutable_icmp;
-          Alcotest.test_case "queue_full + link_down" `Quick
-            test_drop_link_queue_and_down ] );
+      ("drops", List.map parity_case drop_rows);
+      ("guards", List.map parity_case guard_rows);
       ( "timers",
         [ Alcotest.test_case "arm and fire" `Quick test_timer_events ] );
       ( "metrics",
