@@ -28,8 +28,9 @@ bench:
 # and run in seconds, without overwriting the real BENCH_*.json numbers.
 # `make smoke` runs every experiment; `make smoke ONLY=E16` runs one (any
 # comma-separated list of E*/A* ids from `bench/main.exe --list`).
-# Smoke-scale numbers are not the gated contract: the gates in
-# bin/check.sh read the committed full-run BENCH_*.json artifacts.
+# Smoke-scale numbers are not the gated contract: the artifact gate
+# (bench/gate.ml, run by bin/check.sh) reads the committed full-run
+# BENCH_*.json artifacts, and of _smoke/ only E16's replay digests.
 smoke:
 	dune exec bench/main.exe -- --smoke $(if $(ONLY),--only $(ONLY)) --out=_smoke
 

@@ -17,7 +17,7 @@
    BENCH_forwarding.json / BENCH_tcp.json recorded earlier in the same
    harness run: if merely *carrying* the instrumentation slowed the fast
    paths by more than the contract allows, the regression shows up here
-   — and bin/check.sh fails the build on the committed artifact.
+   — and bench/gate.ml fails the build on the committed artifact.
 
    Results go to stdout and BENCH_trace.json. *)
 
@@ -111,10 +111,11 @@ let run_mode mode ~datagrams =
    sides execute the identical instrumented binary, so this guards the
    *runtime* half of the contract (the disabled-cost half is the
    disabled-vs-baseline delta measured above; the cross-PR half is
-   guarded by bin/check.sh over the committed artifacts). *)
+   guarded by bench/gate.ml over the committed artifacts). *)
 let regression_vs ~keys ~file ~measured =
-  match Trace.Json.number_in_file ~keys (Util.out_path file) with
-  | Some prior when prior > 0.0 -> Some ((prior -. measured) /. prior *. 100.0)
+  match Trace.Json.scalar_in_file ~keys (Util.out_path file) with
+  | Some (Trace.Json.Float prior) when prior > 0.0 ->
+      Some ((prior -. measured) /. prior *. 100.0)
   | Some _ | None -> None
 
 let run () =
@@ -203,5 +204,4 @@ let run () =
          ("e13_fast_dps", Float e13_best);
          ("e13_regression_pct", reg e13_reg);
          ("e14_fast_sps", Float e14_best);
-         ("e14_regression_pct", reg e14_reg);
-         ("regression_budget_pct", Float regression_budget_pct) ])
+         ("e14_regression_pct", reg e14_reg) ])

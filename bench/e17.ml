@@ -108,9 +108,7 @@ let write_json ~baseline ~main ~jumbo ~datagrams ~dps_ratio ~words_ratio =
          ("topology", outcome main);
          ("jumbo", outcome jumbo);
          ("dps_vs_e13_pct", Float (100.0 *. dps_ratio));
-         ("words_vs_e13_pct", Float (100.0 *. words_ratio));
-         ("dps_floor_pct", Float 80.0);
-         ("words_ceiling_pct", Float 120.0) ])
+         ("words_vs_e13_pct", Float (100.0 *. words_ratio)) ])
 
 let run () =
   Util.banner "E17" "internet-scale topology"

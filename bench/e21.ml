@@ -16,7 +16,7 @@
    crash-amnesia hit — routes restored as reconvergence would, resolver
    caches NOT, because they are the soft state under test.
 
-   Reported and gated (bin/check.sh over the committed BENCH_names.json):
+   Reported and gated (bench/gate.ml over the committed BENCH_names.json):
    steady-state cache hit ratio >= 95%, p99 resolve latency within
    budget, failover within the E16 reconvergence budget, and zero lost
    sessions outside the declared crash windows. *)
@@ -45,9 +45,8 @@ let run_until_us = 9_000_000
 let probe_interval_us = 500_000
 let flushed_regions = [ 50; 51; 52; 53 ]
 
-(* Gate thresholds, embedded in the artifact so check.sh reads one file. *)
-let hit_floor_pct = 95.0
-let p99_budget_ms = 20.0
+(* E16's reconvergence budget, which anycast failover must beat; the
+   gate (bench/gate.ml) holds the bound, this only labels the report. *)
 let failover_budget_s = 12.0
 
 type sess = {
@@ -423,13 +422,10 @@ let run () =
          ("lookups", Int lookups);
          ("lookups_per_sec", Float (float_of_int lookups /. wall));
          ("steady_hit_pct", Float steady_hit_pct);
-         ("hit_floor_pct", Float hit_floor_pct);
          ("p50_resolve_ms", Float p50_resolve_ms);
          ("p99_resolve_ms", Float p99_resolve_ms);
-         ("p99_budget_ms", Float p99_budget_ms);
          ("failover_s", Float failover_s);
          ("recovery_s", Float recovery_s);
-         ("failover_budget_s", Float failover_budget_s);
          ("goodput_in_crash_pct", Float goodput_in_crash_pct);
          ("completed", Int !completed);
          ("servfail_sessions", Int !servfails);

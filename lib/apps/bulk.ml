@@ -38,7 +38,6 @@ type sender = {
 }
 
 let conn s = s.s_conn
-let started_at_us s = s.s_started
 let finished s = s.s_done_at <> None
 let failed s = s.s_failed
 let completed_at_us s = s.s_done_at

@@ -33,7 +33,6 @@ val start :
 (** Connect and stream [total] patterned bytes, then close. *)
 
 val conn : sender -> Tcp.conn
-val started_at_us : sender -> int
 val finished : sender -> bool
 (** All bytes acknowledged end-to-end and connection closed gracefully. *)
 

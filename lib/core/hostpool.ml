@@ -125,7 +125,6 @@ let attach t ~node ~iface ~addr =
 let set_udp_sink t sink = t.udp_sink <- sink
 let node t slot = t.node.(slot)
 let addr t slot = Addr.of_int32 (Int32.of_int t.addr.(slot))
-let tx_count t slot = t.tx.(slot)
 let rx_count t slot = t.rx.(slot)
 let tx_total t = t.tx_total
 let rx_total t = t.rx_total

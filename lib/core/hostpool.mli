@@ -66,7 +66,6 @@ val set_udp_sink :
 val size : t -> int
 val node : t -> int -> Netsim.node_id
 val addr : t -> int -> Packet.Addr.t
-val tx_count : t -> int -> int
 val rx_count : t -> int -> int
 
 val tx_total : t -> int

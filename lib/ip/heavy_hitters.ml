@@ -205,9 +205,6 @@ let dst_of t i = t.f_dst.(i)
 let meta_of t i = t.f_meta.(i)
 let pkts_of t i = t.pkts.(i)
 let bytes_of t i = t.bytes.(i)
-let err_pkts_of t i = t.err_pkts.(i)
-
-let min_bytes t = if t.n = 0 then 0 else t.bytes.(t.heap.(0))
 
 let iter t f =
   for i = 0 to t.n - 1 do

@@ -48,11 +48,6 @@ val dst_of : t -> int -> int
 val meta_of : t -> int -> int
 val pkts_of : t -> int -> int
 val bytes_of : t -> int -> int
-val err_pkts_of : t -> int -> int
-
-val min_bytes : t -> int
-(** Byte count of the smallest tracked flow (the admission bar); 0 when
-    empty. *)
 
 val clear : t -> unit
 (** Drop every entry (epoch rotation). *)

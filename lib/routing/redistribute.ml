@@ -7,7 +7,6 @@ type t = {
   dv : Dv.t;
   ls : Ls.t;
   mutable injected_into_dv : Prefix.t list;
-  mutable running : bool;
   mutable exchanges : int;
 }
 
@@ -43,17 +42,12 @@ let create ?(period_us = 1_000_000) ?(metric_cap = 8) eng ~dv ~ls =
       dv;
       ls;
       injected_into_dv = [];
-      running = true;
       exchanges = 0;
     }
   in
   let rec tick () =
-    if t.running then begin
-      round t;
-      Engine.after eng t.period_us tick
-    end
+    round t;
+    Engine.after eng t.period_us tick
   in
   Engine.after eng period_us tick;
   t
-
-let stop t = t.running <- false

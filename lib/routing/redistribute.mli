@@ -22,7 +22,5 @@ val create :
     are capped at [metric_cap] (default 8) to respect RIP's small
     infinity. *)
 
-val stop : t -> unit
-
 val exchanges : t -> int
 (** Redistribution rounds performed. *)

@@ -24,7 +24,6 @@ module Summary = struct
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.mean
   let variance t = if t.n < 2 then 0.0 else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
   let min t = t.mn
   let max t = t.mx
   let total t = t.total

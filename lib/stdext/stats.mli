@@ -17,7 +17,6 @@ module Summary : sig
   val variance : t -> float
   (** Unbiased sample variance; 0 with fewer than two observations. *)
 
-  val stddev : t -> float
   val min : t -> float
   (** +inf when empty. *)
 

@@ -10,7 +10,6 @@ type t = { mutable blocks : (int * int) list }
 let create () = { blocks = [] }
 let reset t = t.blocks <- []
 let blocks t = t.blocks
-let block_count t = List.length t.blocks
 
 let sacked_bytes t =
   List.fold_left (fun acc (l, r) -> acc + Seq.diff r l) 0 t.blocks

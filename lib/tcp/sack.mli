@@ -29,7 +29,6 @@ val next_left : t -> int -> int option
     retransmission starting at [seq] must stop there. *)
 
 val blocks : t -> (int * int) list
-val block_count : t -> int
 
 val sacked_bytes : t -> int
 (** Total bytes currently sacked. *)

@@ -83,55 +83,111 @@ let write_file path t =
   output_char oc '\n';
   close_out oc
 
-(* A deliberately dumb extractor for the flat BENCH_*.json files this repo
-   writes: walk down [keys] (each names an object member) and read the
-   number that follows.  Not a JSON parser — just enough for check.sh-style
-   cross-referencing between bench outputs. *)
-let number_at ~keys text =
-  let find_from pos needle =
-    let n = String.length needle and len = String.length text in
-    let rec scan i =
-      if i + n > len then None
-      else if String.sub text i n = needle then Some (i + n)
-      else scan (i + 1)
-    in
-    scan pos
-  in
-  let rec walk pos = function
-    | [] ->
-        (* Skip to the number after the last key's colon. *)
-        let len = String.length text in
-        let rec skip i =
-          if i >= len then None
-          else
-            match text.[i] with
-            | ' ' | ':' | '\t' | '\n' -> skip (i + 1)
-            | '-' | '0' .. '9' ->
-                let j = ref i in
-                while
-                  !j < len
-                  && (match text.[!j] with
-                     | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-                     | _ -> false)
-                do
-                  incr j
-                done;
-                float_of_string_opt (String.sub text i (!j - i))
-            | _ -> None
-        in
-        skip pos
-    | k :: rest -> (
-        match find_from pos ("\"" ^ k ^ "\"") with
-        | Some p -> walk p rest
-        | None -> None)
-  in
-  walk 0 keys
+(* A recursive-descent reader, enough for any well-formed JSON and so
+   for every BENCH_*.json [write_file] produces.  Numbers without a
+   fraction or exponent come back as [Int], the rest as [Float]. *)
+exception Malformed
 
-let number_in_file ~keys path =
-  match open_in path with
+let of_string s =
+  let len = String.length s and pos = ref 0 in
+  let peek () = if !pos < len then s.[!pos] else '\000' in
+  let rec ws () =
+    match peek () with
+    | ' ' | '\n' | '\r' | '\t' -> incr pos; ws ()
+    | _ -> ()
+  in
+  let expect c = ws (); if peek () = c then incr pos else raise Malformed in
+  let literal word v =
+    let n = String.length word in
+    if !pos + n <= len && String.equal (String.sub s !pos n) word then begin
+      pos := !pos + n;
+      v
+    end
+    else raise Malformed
+  in
+  let str () =
+    expect '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= len then raise Malformed;
+      let c = s.[!pos] in
+      incr pos;
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+          (match peek () with
+          | ('"' | '\\' | '/') as e -> Buffer.add_char b e
+          | 'n' -> Buffer.add_char b '\n'
+          | 'r' -> Buffer.add_char b '\r'
+          | 't' -> Buffer.add_char b '\t'
+          | 'b' -> Buffer.add_char b '\b'
+          | 'f' -> Buffer.add_char b '\012'
+          | 'u' when !pos + 5 <= len -> (
+              match int_of_string_opt ("0x" ^ String.sub s (!pos + 1) 4) with
+              | Some u when Uchar.is_valid u ->
+                  Buffer.add_utf_8_uchar b (Uchar.of_int u);
+                  pos := !pos + 4
+              | _ -> raise Malformed)
+          | _ -> raise Malformed);
+          incr pos;
+          go ()
+      | c -> Buffer.add_char b c; go ()
+    in
+    go ()
+  in
+  let number () =
+    let start = !pos in
+    while
+      match peek () with
+      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+      | _ -> false
+    do
+      incr pos
+    done;
+    let tok = String.sub s start (!pos - start) in
+    match (int_of_string_opt tok, float_of_string_opt tok) with
+    | Some i, _ -> Int i
+    | None, Some f -> Float f
+    | None, None -> raise Malformed
+  in
+  let rec value () =
+    ws ();
+    match peek () with
+    | '{' ->
+        incr pos;
+        Obj (items '}' (fun () -> let k = str () in expect ':'; (k, value ())))
+    | '[' -> incr pos; List (items ']' value)
+    | '"' -> Str (str ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> number ()
+  and items : 'a. char -> (unit -> 'a) -> 'a list =
+   fun close item ->
+    ws ();
+    if peek () = close then (incr pos; [])
+    else
+      let rec more acc =
+        let acc = item () :: acc in
+        ws ();
+        if peek () = ',' then (incr pos; more acc)
+        else if peek () = close then (incr pos; List.rev acc)
+        else raise Malformed
+      in
+      more []
+  in
+  match value () with
+  | v -> ws (); if !pos = len then Some v else None
+  | exception Malformed -> None
+
+let scalar_in_file ~keys path =
+  let rec walk keys v =
+    match (keys, v) with
+    | [], (Null | Bool _ | Int _ | Float _ | Str _) -> Some v
+    | k :: rest, Obj fields -> Option.bind (List.assoc_opt k fields) (walk rest)
+    | [], (List _ | Obj _) | _ :: _, (Null | Bool _ | Int _ | Float _ | Str _ | List _) ->
+        None
+  in
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
-  | ic ->
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      number_at ~keys s
+  | text -> Option.bind (of_string text) (walk keys)

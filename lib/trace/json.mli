@@ -22,8 +22,12 @@ val write_file : string -> t -> unit
 (** [to_string] plus a trailing newline, written atomically enough for
     bench artifacts. *)
 
-val number_in_file : keys:string list -> string -> float option
-(** Walk object members named by [keys] in order and read the number after
-    the last one, in a file's contents; [None] when unreadable or absent.
-    A substring scanner, not a parser: enough to pull a single figure
-    back out of a BENCH_*.json this module wrote. *)
+val of_string : string -> t option
+(** Parse one JSON text; [None] when malformed.  Integral numbers come
+    back as [Int], others as [Float]. *)
+
+val scalar_in_file : keys:string list -> string -> t option
+(** The scalar ([Null], [Bool], [Int], [Float] or [Str]) reached from a
+    JSON file's top-level object through the members named by [keys];
+    [None] when the file is unreadable or malformed, a member is absent,
+    or the value is a list or an object. *)

@@ -96,9 +96,46 @@ let test_accounting () =
   check Alcotest.string "insertion order is invisible" (run (List.rev pkts)) j;
   check Alcotest.string "golden ledger" golden_ledger j
 
+(* The reader inverts the writer, and refuses what is not JSON. *)
+let test_reader () =
+  let tree =
+    Json.Obj
+      [ ("s", Json.Str "q\"\\\n\t\001");
+        ("n", Json.Int (-3));
+        ("f", Json.Float 2.5);
+        ("l", Json.List [ Json.Null; Json.Bool true; Json.Obj [] ]);
+        ("o", Json.Obj [ ("x", Json.List []) ]) ]
+  in
+  let text = Json.to_string tree in
+  check Alcotest.string "round trip" text
+    (match Json.of_string text with Some t -> Json.to_string t | None -> "malformed");
+  List.iter
+    (fun bad ->
+      check Alcotest.bool bad true (Option.is_none (Json.of_string bad)))
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "1 2"; "\"\\x\""; "{\"a\": -}" ]
+
+let test_scalar_in_file () =
+  let path = Filename.temp_file "catenet-json" ".json" in
+  Json.write_file path
+    (Json.Obj
+       [ ("a", Json.Obj [ ("b", Json.Float 1.5); ("c", Json.List []) ]);
+         ("b", Json.Str "top") ]);
+  let get keys = Json.scalar_in_file ~keys path in
+  let show = function Some v -> Json.to_string v | None -> "none" in
+  check Alcotest.string "nested member" "1.5000" (show (get [ "a"; "b" ]));
+  check Alcotest.string "top-level member" "\"top\"" (show (get [ "b" ]));
+  check Alcotest.string "list is not a scalar" "none" (show (get [ "a"; "c" ]));
+  check Alcotest.string "object is not a scalar" "none" (show (get [ "a" ]));
+  check Alcotest.string "absent member" "none" (show (get [ "a"; "x" ]));
+  Sys.remove path;
+  check Alcotest.string "absent file" "none" (show (get [ "b" ]))
+
 let () =
   Alcotest.run "golden_json"
     [ ( "golden",
         [ Alcotest.test_case "metrics snapshot sorted" `Quick test_metrics;
           Alcotest.test_case "accounting ledger total order" `Quick
-            test_accounting ] ) ]
+            test_accounting ] );
+      ( "reader",
+        [ Alcotest.test_case "inverts the writer" `Quick test_reader;
+          Alcotest.test_case "scalar member paths" `Quick test_scalar_in_file ] ) ]
