@@ -13,7 +13,7 @@ module Udp_wire = Packet.Udp_wire
    The pool keeps every per-host datum in parallel arrays (one int slot
    per field per host) and serves *all* pooled hosts' receive traffic
    with a single shared closure, installed as the netsim-wide default
-   handler.  Attaching host number 10^5 costs five array cells and one
+   handler.  Attaching host number 10^5 costs four array cells and one
    index entry; idle hosts cost nothing at all per tick. *)
 
 let proto = 0xE1 (* pool datagrams ride proto 225 end to end *)
@@ -23,7 +23,6 @@ type t = {
   mutable node : int array;  (* slot -> netsim node *)
   mutable iface : int array;  (* slot -> the host's single iface *)
   mutable addr : int array;  (* slot -> address bits *)
-  mutable tx : int array;  (* slot -> datagrams sent *)
   mutable rx : int array;  (* slot -> datagrams delivered *)
   mutable n : int;
   mutable slot_of_node : int array;  (* node -> slot, -1 = not pooled *)
@@ -48,32 +47,39 @@ type t = {
 
 let addr_bits a = Int32.to_int (Addr.to_int32 a) land 0xffffffff
 
+(* The one delivery road that decodes a header: the sink wants the
+   source address and the UDP payload. *)
+let deliver_udp sink slot frame =
+  match Ipv4.decode frame with
+  | Ok (h, segment) -> (
+      match Udp_wire.decode ~src:h.Ipv4.src ~dst:h.Ipv4.dst segment with
+      | Ok d ->
+          sink slot ~src:h.Ipv4.src ~src_port:d.Udp_wire.src_port
+            ~dst_port:d.Udp_wire.dst_port d.Udp_wire.payload
+      | Error _ -> ())
+  | Error _ -> ()
+
 let receive t ~node ~iface:_ frame =
   if node < Array.length t.slot_of_node then begin
     let slot = Array.unsafe_get t.slot_of_node node in
     if slot >= 0 then begin
-      match Ipv4.peek frame with
-      | Ok h
-        when (let p = Ipv4.Proto.to_int h.Ipv4.proto in
-              p = proto || p = 17 (* UDP: see [send_udp] *))
-             && addr_bits h.Ipv4.dst = Array.unsafe_get t.addr slot ->
-          Array.unsafe_set t.rx slot (Array.unsafe_get t.rx slot + 1);
-          t.rx_total <- t.rx_total + 1;
-          (match t.udp_sink with
-          | Some sink when Ipv4.Proto.to_int h.Ipv4.proto = 17 -> (
-              let plen = Bytes.length frame - Ipv4.header_size in
-              match
-                Udp_wire.decode ~src:h.Ipv4.src ~dst:h.Ipv4.dst
-                  (Bytes.sub frame Ipv4.header_size plen)
-              with
-              | Ok d ->
-                  sink slot ~src:h.Ipv4.src ~src_port:d.Udp_wire.src_port
-                    ~dst_port:d.Udp_wire.dst_port d.Udp_wire.payload
-              | Error _ -> ())
-          | Some _ | None -> ())
-      | Ok _ | Error _ -> t.rx_stray <- t.rx_stray + 1
+      if
+        Ipv4.valid frame
+        && (let p = Ipv4.peek_proto frame in
+            p = proto || p = 17 (* UDP: see [send_udp] *))
+        && Ipv4.peek_dst frame = Array.unsafe_get t.addr slot
+      then begin
+        Array.unsafe_set t.rx slot (Array.unsafe_get t.rx slot + 1);
+        t.rx_total <- t.rx_total + 1;
+        match t.udp_sink with
+        | Some sink when Ipv4.peek_proto frame = 17 ->
+            deliver_udp sink slot frame [@fastpath.exempt]
+        | Some _ | None -> ()
+      end
+      else t.rx_stray <- t.rx_stray + 1
     end
   end
+[@@fastpath]
 
 let create net =
   let t =
@@ -82,7 +88,6 @@ let create net =
       node = Array.make 64 0;
       iface = Array.make 64 0;
       addr = Array.make 64 0;
-      tx = Array.make 64 0;
       rx = Array.make 64 0;
       n = 0;
       slot_of_node = Array.make 64 (-1);
@@ -109,7 +114,6 @@ let attach t ~node ~iface ~addr =
     t.node <- grow_to 0 t.node 0;
     t.iface <- grow_to 0 t.iface 0;
     t.addr <- grow_to 0 t.addr 0;
-    t.tx <- grow_to 0 t.tx 0;
     t.rx <- grow_to 0 t.rx 0
   end;
   if node >= Array.length t.slot_of_node then
@@ -136,20 +140,22 @@ let send t slot ~dst payload =
       ()
   in
   let frame = Ipv4.encode h ~payload in
-  t.tx.(slot) <- t.tx.(slot) + 1;
   t.tx_total <- t.tx_total + 1;
   Netsim.send t.net t.node.(slot) ~iface:t.iface.(slot) frame
 
 (* Real UDP off a pooled host — the port-churn generator flow-accounting
    benchmarks need (pool datagrams are portless, so a pool pair is one
-   flow no matter how many it sends; UDP gives 2^32 flows per pair). *)
+   flow no matter how many it sends; UDP gives 2^32 flows per pair).
+   Both headers are written in place around the one copy of the payload. *)
 let send_udp t slot ~dst ~src_port ~dst_port payload =
   let src = addr t slot in
-  let h = Ipv4.make_header ~proto:Ipv4.Proto.Udp ~src ~dst () in
-  let frame =
-    Ipv4.encode h
-      ~payload:(Udp_wire.encode ~src ~dst { Udp_wire.src_port; dst_port; payload })
-  in
-  t.tx.(slot) <- t.tx.(slot) + 1;
+  let payload_len = Bytes.length payload in
+  let off = Ipv4.header_size + Udp_wire.header_size in
+  let frame = Bytes.create (off + payload_len) in
+  Bytes.blit payload 0 frame off payload_len;
+  ignore
+    (Udp_wire.encode_into ~src ~dst ~src_port ~dst_port ~payload_len frame
+       ~pos:Ipv4.header_size);
+  Ipv4.encode_into (Ipv4.make_header ~proto:Ipv4.Proto.Udp ~src ~dst ()) frame;
   t.tx_total <- t.tx_total + 1;
   Netsim.send t.net t.node.(slot) ~iface:t.iface.(slot) frame

@@ -1,8 +1,8 @@
 (** Pooled endpoint state for internet-scale populations (E17).
 
-    A pooled host is a netsim node plus five array cells: node, iface,
-    address, tx count, rx count.  All pooled hosts share one receive
-    closure — the netsim-wide default frame handler — so attaching the
+    A pooled host is a netsim node plus four array cells: node, iface,
+    address, rx count.  All pooled hosts share one receive closure —
+    the netsim-wide default frame handler — so attaching the
     10^5th endpoint costs a record slot, not a closure web, and an idle
     endpoint costs nothing per tick.  Gateways keep their full
     {!Ip.Stack}; the pool is only for leaf hosts that source and sink
@@ -29,8 +29,10 @@ val attach :
 
 val send : t -> int -> dst:Packet.Addr.t -> bytes -> bool
 (** Encode and transmit one pool datagram from a slot's host out its
-    interface.  Returns what {!Netsim.send} returns ([false] = dropped at
-    the interface). *)
+    interface.  The frame is the datagram's one allocation up to delivery,
+    where the receive closure checks it with {!Packet.Ipv4.valid}.
+    Returns what {!Netsim.send} returns ([false] = dropped at the
+    interface). *)
 
 val send_udp :
   t ->

@@ -9,8 +9,8 @@
    [create]: every mutation is an int store plus O(log capacity) sifts.
 
    Admission follows space-saving — an untracked flow replaces the
-   current minimum and inherits an overestimate recorded in
-   [err_*] — but is *gated by the count-min estimate* the caller passes
+   current minimum and inherits the sketch's estimate as its count —
+   but is *gated by the count-min estimate* the caller passes
    in: a flow only displaces the minimum when the sketch says it is
    already bigger.  Pure space-saving churns the whole table on a
    million-singleton tail (every new flow evicts, counts ratchet by
@@ -27,8 +27,6 @@ type t = {
   fp : int array;  (* entry -> flow fingerprint *)
   pkts : int array;  (* entry -> packet count (admission estimate + exact) *)
   bytes : int array;  (* entry -> byte count; the heap's ranking key *)
-  err_pkts : int array;  (* estimated (non-exact) part of pkts at admission *)
-  err_bytes : int array;  (* estimated part of bytes at admission *)
   f_src : int array;  (* entry -> source address bits *)
   f_dst : int array;  (* entry -> destination address bits *)
   f_meta : int array;  (* entry -> packed proto/ports/portless *)
@@ -60,8 +58,6 @@ let create ~capacity =
     fp = Array.make capacity 0;
     pkts = Array.make capacity 0;
     bytes = Array.make capacity 0;
-    err_pkts = Array.make capacity 0;
-    err_bytes = Array.make capacity 0;
     f_src = Array.make capacity 0;
     f_dst = Array.make capacity 0;
     f_meta = Array.make capacity 0;
@@ -168,8 +164,6 @@ let record t ~fp ~src ~dst ~meta ~est_pkts ~est_bytes ~wire_bytes =
     Array.unsafe_set t.f_meta i meta;
     Array.unsafe_set t.pkts i est_pkts;
     Array.unsafe_set t.bytes i est_bytes;
-    Array.unsafe_set t.err_pkts i (est_pkts - 1);
-    Array.unsafe_set t.err_bytes i (est_bytes - wire_bytes);
     link t i;
     Array.unsafe_set t.heap i i;
     Array.unsafe_set t.pos i i;
@@ -180,8 +174,7 @@ let record t ~fp ~src ~dst ~meta ~est_pkts ~est_bytes ~wire_bytes =
     let root = Array.unsafe_get t.heap 0 in
     if est_bytes > Array.unsafe_get t.bytes root then begin
       (* Space-saving eviction: the smallest tracked flow makes way;
-         the newcomer's count starts at its sketch estimate, with the
-         estimated part remembered as its error bound. *)
+         the newcomer's count starts at its sketch estimate. *)
       unlink t root;
       Array.unsafe_set t.fp root fp;
       Array.unsafe_set t.f_src root src;
@@ -189,8 +182,6 @@ let record t ~fp ~src ~dst ~meta ~est_pkts ~est_bytes ~wire_bytes =
       Array.unsafe_set t.f_meta root meta;
       Array.unsafe_set t.pkts root est_pkts;
       Array.unsafe_set t.bytes root est_bytes;
-      Array.unsafe_set t.err_pkts root (est_pkts - 1);
-      Array.unsafe_set t.err_bytes root (est_bytes - wire_bytes);
       link t root;
       sift_down t (Array.unsafe_get t.pos root)
     end

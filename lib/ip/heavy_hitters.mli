@@ -9,9 +9,9 @@
     space-saving fails there.  {!record} is allocation-free
     ([@@fastpath], checked by catenet-lint).
 
-    Tracked counts are exact from admission onward; the inherited
-    (estimated) part is retained per entry as [err_pkts]/[err_bytes],
-    so [pkts - err_pkts] is a guaranteed lower bound. *)
+    A tracked flow's counts start at the sketch's estimate when it is
+    admitted, so they may overstate it by what the sketch overstated
+    then; every packet after admission is counted exactly. *)
 
 type t
 

@@ -218,8 +218,9 @@ let fragment_payload ~mtu (h : Ipv4.header) payload =
   cut 0 []
 
 let transmit t iface ~priority frame =
-  (* [Netsim.send] clones the frame into the link queue; that copy is the
-     hand-off to the simulated wire, not fast-path overhead. *)
+  (* [Netsim.send] queues this very frame by reference.  Exempt are the
+     link layer's per-frame queue cell and engine closures, its per-call
+     drop closure, and the [Some] that boxes the optional [~priority]. *)
   ignore (Netsim.send t.net t.node ~priority ~iface frame [@fastpath.exempt])
 [@@fastpath]
 

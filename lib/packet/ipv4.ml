@@ -51,9 +51,9 @@ let header_size = 20
 let max_datagram = 65535
 
 (* Machine-checked wire contract: catenet-lint verifies every constant
-   byte access in encode/encode_into/peek/patch_* lands on these field
-   boundaries, that the table is gapless, and that encode and peek
-   cover the same bytes. *)
+   byte access in write_header/peek*/patch_* lands on these field
+   boundaries, that the table is gapless, and that the writer and the
+   peeks cover the same bytes. *)
 let layout : (string * int * int) list =
   [ ("ver_ihl", 0, 1);
     ("tos", 1, 1);
@@ -80,47 +80,15 @@ let pp_error fmt = function
   | `Bad_checksum -> Format.pp_print_string fmt "bad header checksum"
   | `Bad_header m -> Format.fprintf fmt "bad header: %s" m
 
-let encode h ~payload =
-  let total = header_size + Bytes.length payload in
-  if total > max_datagram then invalid_arg "Ipv4.encode: datagram too large";
-  if h.id < 0 || h.id > 0xffff then invalid_arg "Ipv4.encode: bad id";
-  if h.ttl < 0 || h.ttl > 255 then invalid_arg "Ipv4.encode: bad ttl";
-  if h.frag_offset < 0 || h.frag_offset > 0xffff * 8 || h.frag_offset mod 8 <> 0
-  then invalid_arg "Ipv4.encode: bad fragment offset";
-  let w = Stdext.Bytio.W.create total in
-  let module W = Stdext.Bytio.W in
-  W.u8 w ((4 lsl 4) lor 5);
-  W.u8 w (Tos.to_int h.tos);
-  W.u16 w total;
-  W.u16 w h.id;
-  let flags =
-    (if h.dont_fragment then 0x4000 else 0)
-    lor (if h.more_fragments then 0x2000 else 0)
-    lor (h.frag_offset / 8)
-  in
-  W.u16 w flags;
-  W.u8 w h.ttl;
-  W.u8 w (Proto.to_int h.proto);
-  W.u16 w 0 (* checksum placeholder *);
-  W.u32 w (Addr.to_int32 h.src);
-  W.u32 w (Addr.to_int32 h.dst);
-  W.bytes w payload;
-  let buf = W.contents w in
-  let csum = Checksum.of_bytes buf ~pos:0 ~len:header_size in
-  Bytes.set_uint16_be buf 10 csum;
-  buf
-
-(* Allocation-free counterpart of {!encode}: [frame] already carries the
-   IP payload at [header_size]; write the header into the reserved prefix.
-   Byte-for-byte identical output to {!encode}. *)
-let encode_into h frame =
+(* The one header writer; [who] names the entry point in its errors. *)
+let write_header ~who h frame =
   let total = Bytes.length frame in
   if total < header_size || total > max_datagram then
-    invalid_arg "Ipv4.encode_into: bad frame size";
-  if h.id < 0 || h.id > 0xffff then invalid_arg "Ipv4.encode_into: bad id";
-  if h.ttl < 0 || h.ttl > 255 then invalid_arg "Ipv4.encode_into: bad ttl";
+    invalid_arg (who ^ ": bad frame size");
+  if h.id < 0 || h.id > 0xffff then invalid_arg (who ^ ": bad id");
+  if h.ttl < 0 || h.ttl > 255 then invalid_arg (who ^ ": bad ttl");
   if h.frag_offset < 0 || h.frag_offset > 0xffff * 8 || h.frag_offset mod 8 <> 0
-  then invalid_arg "Ipv4.encode_into: bad fragment offset";
+  then invalid_arg (who ^ ": bad fragment offset");
   Bytes.set_uint8 frame 0 ((4 lsl 4) lor 5);
   Bytes.set_uint8 frame 1 (Tos.to_int h.tos);
   Bytes.set_uint16_be frame 2 total;
@@ -139,41 +107,68 @@ let encode_into h frame =
   let csum = Checksum.of_bytes frame ~pos:0 ~len:header_size in
   Bytes.set_uint16_be frame 10 csum
 
-let peek buf =
+let encode_into h frame = write_header ~who:"Ipv4.encode_into" h frame
+
+(* One allocation: the frame, with the payload copied once into place. *)
+let encode h ~payload =
+  let plen = Bytes.length payload in
+  if header_size + plen > max_datagram then
+    invalid_arg "Ipv4.encode: datagram too large";
+  let frame = Bytes.create (header_size + plen) in
+  Bytes.blit payload 0 frame header_size plen;
+  write_header ~who:"Ipv4.encode" h frame;
+  frame
+
+(* Which of [peek]'s checks a frame fails first.  Constant constructors,
+   so computing one allocates nothing. *)
+type defect = Sound | Short | Not_v4 | Has_options | Bad_sum
+
+let peek_defect buf =
   let len = Bytes.length buf in
-  if len < header_size then Error `Truncated
+  if len < header_size then Short
   else begin
     let b0 = Bytes.get_uint8 buf 0 in
-    let version = b0 lsr 4 and ihl = b0 land 0xf in
-    if version <> 4 then Error (`Bad_version version)
-    else if ihl <> 5 then Error (`Bad_header "options unsupported (IHL<>5)")
-    else if not (Checksum.valid buf ~pos:0 ~len:header_size) then
-      Error `Bad_checksum
+    if b0 lsr 4 <> 4 then Not_v4
+    else if b0 land 0xf <> 5 then Has_options
+    else if not (Checksum.valid buf ~pos:0 ~len:header_size) then Bad_sum
     else begin
       let total = Bytes.get_uint16_be buf 2 in
-      if total < header_size || total > len then Error `Truncated
-      else begin
-        let id = Bytes.get_uint16_be buf 4 in
-        let flags = Bytes.get_uint16_be buf 6 in
-        let ttl = Bytes.get_uint8 buf 8 in
-        let proto = Proto.of_int (Bytes.get_uint8 buf 9) in
-        let src = Addr.of_int32 (Bytes.get_int32_be buf 12) in
-        let dst = Addr.of_int32 (Bytes.get_int32_be buf 16) in
-        Ok
-          {
-            tos = Tos.of_int (Bytes.get_uint8 buf 1);
-            id;
-            dont_fragment = flags land 0x4000 <> 0;
-            more_fragments = flags land 0x2000 <> 0;
-            frag_offset = (flags land 0x1fff) * 8;
-            ttl;
-            proto;
-            src;
-            dst;
-          }
-      end
+      if total < header_size || total > len then Short else Sound
     end
   end
+[@@fastpath]
+
+let valid buf =
+  match peek_defect buf with
+  | Sound -> true
+  | Short | Not_v4 | Has_options | Bad_sum -> false
+[@@fastpath]
+
+let peek_proto buf = Bytes.get_uint8 buf 9 [@@fastpath]
+
+let peek_dst buf = Int32.to_int (Bytes.get_int32_be buf 16) land 0xffffffff
+[@@fastpath]
+
+let peek buf =
+  match peek_defect buf with
+  | Short -> Error `Truncated
+  | Not_v4 -> Error (`Bad_version (Bytes.get_uint8 buf 0 lsr 4))
+  | Has_options -> Error (`Bad_header "options unsupported (IHL<>5)")
+  | Bad_sum -> Error `Bad_checksum
+  | Sound ->
+      let flags = Bytes.get_uint16_be buf 6 in
+      Ok
+        {
+          tos = Tos.of_int (Bytes.get_uint8 buf 1);
+          id = Bytes.get_uint16_be buf 4;
+          dont_fragment = flags land 0x4000 <> 0;
+          more_fragments = flags land 0x2000 <> 0;
+          frag_offset = (flags land 0x1fff) * 8;
+          ttl = Bytes.get_uint8 buf 8;
+          proto = Proto.of_int (peek_proto buf);
+          src = Addr.of_int32 (Bytes.get_int32_be buf 12);
+          dst = Addr.of_int32 (Bytes.get_int32_be buf 16);
+        }
 
 let payload_of buf =
   let total = Bytes.get_uint16_be buf 2 in

@@ -43,8 +43,9 @@ val header_size : int
 
 val layout : (string * int * int) list
 (** [(field, offset, width)] wire contract, machine-checked by
-    catenet-lint against the byte accesses in {!encode}, {!encode_into},
-    {!peek} and {!patch_ttl}. *)
+    catenet-lint against the byte accesses of the header writer behind
+    {!encode} and {!encode_into}, of {!peek} and its accessors, and of
+    {!patch_ttl}. *)
 
 val max_datagram : int
 (** 65535, the total-length field bound. *)
@@ -72,7 +73,8 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val encode : header -> payload:bytes -> bytes
-(** Serialize header plus payload, computing the header checksum.
+(** Serialize header plus payload, computing the header checksum.  One
+    allocation, the frame, with the header written by {!encode_into}.
     @raise Invalid_argument if a field is out of range or the result would
     exceed {!max_datagram}. *)
 
@@ -93,6 +95,17 @@ val peek : bytes -> (header, error) result
     header and never touches the payload.  This is the gateway fast path's
     entry point: a transit datagram's payload is dead weight to a forwarder,
     so it is never copied out of the frame. *)
+
+val valid : bytes -> bool
+(** [true] exactly when {!peek} returns [Ok] (version, IHL, checksum,
+    total length), without building a header or an error.  Never raises;
+    [@@fastpath], so catenet-lint proves it allocation-free. *)
+
+val peek_proto : bytes -> int
+(** Raw protocol byte of a {!valid} frame.  [@@fastpath], as is {!peek_dst}. *)
+
+val peek_dst : bytes -> int
+(** Destination address bits (unsigned, unboxed) of a {!valid} frame. *)
 
 val payload_of : bytes -> bytes
 (** Copy the payload out of a frame already validated by {!peek} (uses the

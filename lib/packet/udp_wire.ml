@@ -13,39 +13,14 @@ let pp_error fmt = function
   | `Bad_checksum -> Format.pp_print_string fmt "bad UDP checksum"
   | `Bad_header m -> Format.fprintf fmt "bad UDP header: %s" m
 
-let encode ~src ~dst t =
-  if t.src_port < 0 || t.src_port > 0xffff || t.dst_port < 0
-     || t.dst_port > 0xffff
-  then invalid_arg "Udp_wire.encode: port out of range";
-  let total = header_size + Bytes.length t.payload in
-  if total > 0xffff then invalid_arg "Udp_wire.encode: datagram too large";
-  let module W = Stdext.Bytio.W in
-  let w = W.create total in
-  W.u16 w t.src_port;
-  W.u16 w t.dst_port;
-  W.u16 w total;
-  W.u16 w 0 (* checksum placeholder *);
-  W.bytes w t.payload;
-  let buf = W.contents w in
-  let acc =
-    Checksum.pseudo_header ~src:(Addr.to_int32 src) ~dst:(Addr.to_int32 dst)
-      ~proto:17 ~len:total
-  in
-  let csum = Checksum.of_bytes ~acc buf ~pos:0 ~len:total in
-  (* RFC 768: a computed checksum of zero is transmitted as all ones. *)
-  Bytes.set_uint16_be buf 6 (if csum = 0 then 0xffff else csum);
-  buf
-
-(* Allocation-free counterpart of {!encode}: the payload already sits at
-   [pos + header_size] in [buf]; fill in the header and checksum in place.
-   Byte-for-byte identical output to {!encode}. *)
-let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
+(* The one header writer; [who] names the entry point in its errors. *)
+let write_header ~who ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
   if src_port < 0 || src_port > 0xffff || dst_port < 0 || dst_port > 0xffff
-  then invalid_arg "Udp_wire.encode_into: port out of range";
+  then invalid_arg (who ^ ": port out of range");
   let total = header_size + payload_len in
-  if total > 0xffff then invalid_arg "Udp_wire.encode_into: datagram too large";
+  if total > 0xffff then invalid_arg (who ^ ": datagram too large");
   if pos < 0 || payload_len < 0 || pos + total > Bytes.length buf then
-    invalid_arg "Udp_wire.encode_into: buffer too small";
+    invalid_arg (who ^ ": buffer too small");
   Bytes.set_uint16_be buf pos src_port;
   Bytes.set_uint16_be buf (pos + 2) dst_port;
   Bytes.set_uint16_be buf (pos + 4) total;
@@ -54,10 +29,25 @@ let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
     Checksum.pseudo_header ~src:(Addr.to_int32 src) ~dst:(Addr.to_int32 dst)
       ~proto:17 ~len:total
   in
-  let csum = Checksum.of_bytes ~acc buf ~pos ~len:total in
+  (* [Checksum.of_bytes ~acc] would box [acc] into an option. *)
+  let csum = Checksum.finish (Checksum.add_bytes acc buf ~pos ~len:total) in
   (* RFC 768: a computed checksum of zero is transmitted as all ones. *)
   Bytes.set_uint16_be buf (pos + 6) (if csum = 0 then 0xffff else csum);
   total
+
+let encode_into ~src ~dst ~src_port ~dst_port ~payload_len buf ~pos =
+  write_header ~who:"Udp_wire.encode_into" ~src ~dst ~src_port ~dst_port
+    ~payload_len buf ~pos
+
+(* One allocation: the datagram, with the payload copied once into place. *)
+let encode ~src ~dst t =
+  let payload_len = Bytes.length t.payload in
+  let buf = Bytes.create (header_size + payload_len) in
+  Bytes.blit t.payload 0 buf header_size payload_len;
+  ignore
+    (write_header ~who:"Udp_wire.encode" ~src ~dst ~src_port:t.src_port
+       ~dst_port:t.dst_port ~payload_len buf ~pos:0);
+  buf
 
 let decode ~src ~dst buf =
   let len = Bytes.length buf in

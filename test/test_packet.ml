@@ -17,6 +17,76 @@ let bytes_gen =
 
 let arb_bytes = QCheck.make ~print:(fun b -> Bytes.to_string b) bytes_gen
 
+(* --- reference: the cursor-based writers ---------------------------------- *)
+
+(* [Ipv4.encode] and [Udp_wire.encode] wrap the same header writer as
+   their [encode_into], so checking one against the other would check
+   nothing.  These [Bytio.W] cursor writers share no code with it and are
+   the references for the differentials below.  They take valid arguments
+   only; argument checking is tested against the library directly. *)
+module Ref_wire = struct
+  module W = Stdext.Bytio.W
+
+  let ipv4 (h : Ipv4.header) ~payload =
+    let total = Ipv4.header_size + Bytes.length payload in
+    let w = W.create total in
+    W.u8 w ((4 lsl 4) lor 5);
+    W.u8 w (Ipv4.Tos.to_int h.Ipv4.tos);
+    W.u16 w total;
+    W.u16 w h.Ipv4.id;
+    W.u16 w
+      ((if h.Ipv4.dont_fragment then 0x4000 else 0)
+      lor (if h.Ipv4.more_fragments then 0x2000 else 0)
+      lor (h.Ipv4.frag_offset / 8));
+    W.u8 w h.Ipv4.ttl;
+    W.u8 w (Ipv4.Proto.to_int h.Ipv4.proto);
+    W.u16 w 0;
+    W.u32 w (Addr.to_int32 h.Ipv4.src);
+    W.u32 w (Addr.to_int32 h.Ipv4.dst);
+    W.bytes w payload;
+    let buf = W.contents w in
+    Bytes.set_uint16_be buf 10
+      (Checksum.of_bytes buf ~pos:0 ~len:Ipv4.header_size);
+    buf
+
+  let udp ~src ~dst (d : Udpw.t) =
+    let total = Udpw.header_size + Bytes.length d.Udpw.payload in
+    let w = W.create total in
+    W.u16 w d.Udpw.src_port;
+    W.u16 w d.Udpw.dst_port;
+    W.u16 w total;
+    W.u16 w 0;
+    W.bytes w d.Udpw.payload;
+    let buf = W.contents w in
+    let acc =
+      Checksum.pseudo_header ~src:(Addr.to_int32 src) ~dst:(Addr.to_int32 dst)
+        ~proto:17 ~len:total
+    in
+    let csum = Checksum.of_bytes ~acc buf ~pos:0 ~len:total in
+    Bytes.set_uint16_be buf 6 (if csum = 0 then 0xffff else csum);
+    buf
+end
+
+(* Any valid header: every field over its whole range. *)
+let header_gen =
+  QCheck.Gen.(
+    map
+      (fun ((tos, id, df, mf), (off8, ttl, proto), (src, dst)) ->
+        Ipv4.make_header ~tos:(Ipv4.Tos.of_int tos) ~id ~dont_fragment:df
+          ~more_fragments:mf ~frag_offset:(off8 * 8) ~ttl
+          ~proto:(Ipv4.Proto.of_int proto) ~src:(Addr.of_int32 (Int32.of_int src))
+          ~dst:(Addr.of_int32 (Int32.of_int dst)) ())
+      (triple
+         (quad (0 -- 255) (0 -- 0xffff) bool bool)
+         (triple (0 -- 0x1fff) (0 -- 255) (0 -- 255))
+         (pair (0 -- 0xffffffff) (0 -- 0xffffffff))))
+
+let arb_header_payload =
+  QCheck.make
+    ~print:(fun (h, p) ->
+      Format.asprintf "%a + %d bytes" Ipv4.pp_header h (Bytes.length p))
+    QCheck.Gen.(pair header_gen bytes_gen)
+
 (* --- Checksum ------------------------------------------------------------ *)
 
 let test_checksum_rfc1071_example () =
@@ -491,20 +561,184 @@ let prop_tcp_peek_matches_decode =
              | Error _ -> false)
       | _ -> false)
 
+(* Both entry points against the independent reference writer (so they
+   also equal each other). *)
 let prop_ipv4_encode_into_matches_encode =
-  QCheck.Test.make ~name:"ipv4 encode_into equals encode" ~count:300
-    QCheck.(pair (int_bound 0xffff) arb_bytes)
-    (fun (id, payload) ->
-      let h =
-        Ipv4.make_header ~tos:Ipv4.Tos.Low_delay ~id ~ttl:((id mod 255) + 1)
-          ~proto:Ipv4.Proto.Tcp ~src:(Addr.v 10 0 0 1) ~dst:(Addr.v 10 9 9 9)
-          ()
-      in
-      let reference = Ipv4.encode h ~payload in
+  QCheck.Test.make ~name:"ipv4 encode_into equals encode" ~count:500
+    arb_header_payload
+    (fun (h, payload) ->
+      let reference = Ref_wire.ipv4 h ~payload in
       let frame = Bytes.create (Ipv4.header_size + Bytes.length payload) in
       Bytes.blit payload 0 frame Ipv4.header_size (Bytes.length payload);
       Ipv4.encode_into h frame;
-      Bytes.equal reference frame)
+      Bytes.equal reference (Ipv4.encode h ~payload)
+      && Bytes.equal reference frame)
+
+(* --- IPv4 header check ----------------------------------------------------- *)
+
+(* Layout-guided damage to a valid frame.  Each case names the verdict
+   [Ipv4.peek] must reach, in its own order of checks: length, version,
+   IHL, checksum, total length. *)
+type damage =
+  | Intact
+  | Version of int  (* version nibble set, checksum repaired *)
+  | Ihl of int  (* IHL nibble set, checksum repaired *)
+  | Flip of int  (* one bit of bytes 1..19 flipped, checksum left stale *)
+  | Total of int  (* total_len set, checksum repaired *)
+  | Cut of int  (* frame cut short to this many bytes *)
+
+let reseal buf =
+  Bytes.set_uint16_be buf 10 0;
+  Bytes.set_uint16_be buf 10 (Checksum.of_bytes buf ~pos:0 ~len:Ipv4.header_size)
+
+let apply_damage buf = function
+  | Intact -> buf
+  | Version v ->
+      Bytes.set_uint8 buf 0 ((v lsl 4) lor 5);
+      reseal buf;
+      buf
+  | Ihl n ->
+      Bytes.set_uint8 buf 0 (0x40 lor n);
+      reseal buf;
+      buf
+  | Flip bit ->
+      let i = 1 + (bit / 8) in
+      Bytes.set_uint8 buf i (Bytes.get_uint8 buf i lxor (1 lsl (bit mod 8)));
+      buf
+  | Total n ->
+      Bytes.set_uint16_be buf 2 n;
+      reseal buf;
+      buf
+  | Cut n -> Bytes.sub buf 0 n
+
+let expected_verdict ~frame_len = function
+  | Intact -> "ok"
+  | Version v -> if v = 4 then "ok" else Printf.sprintf "version %d" v
+  | Ihl n -> if n = 5 then "ok" else "options"
+  | Flip _ -> "checksum"
+  | Total n -> if n < Ipv4.header_size || n > frame_len then "truncated" else "ok"
+  | Cut _ -> "truncated"
+
+let verdict = function
+  | Ok _ -> "ok"
+  | Error `Truncated -> "truncated"
+  | Error (`Bad_version v) -> Printf.sprintf "version %d" v
+  | Error (`Bad_header _) -> "options"
+  | Error `Bad_checksum -> "checksum"
+
+let show_damage = function
+  | Intact -> "intact"
+  | Version v -> Printf.sprintf "version=%d" v
+  | Ihl n -> Printf.sprintf "ihl=%d" n
+  | Flip b -> Printf.sprintf "flip bit %d" b
+  | Total n -> Printf.sprintf "total_len=%d" n
+  | Cut n -> Printf.sprintf "cut to %d" n
+
+let hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+(* A frame and, for damaged valid frames, the verdict [peek] must give;
+   [None] for arbitrary bytes, where only agreement is required. *)
+let frame_case_gen =
+  let open QCheck.Gen in
+  let damaged =
+    pair header_gen bytes_gen >>= fun (h, payload) ->
+    let frame = Ipv4.encode h ~payload in
+    let len = Bytes.length frame in
+    oneof
+      [
+        return Intact;
+        map (fun v -> Version v) (0 -- 15);
+        map (fun n -> Ihl n) (0 -- 15);
+        map (fun b -> Flip b) (0 -- ((19 * 8) - 1));
+        map (fun n -> Total n)
+          (oneof
+             [ 0 -- (Ipv4.header_size - 1); Ipv4.header_size -- len;
+               (len + 1) -- 0xffff ]);
+        map (fun n -> Cut n) (0 -- (len - 1));
+      ]
+    >|= fun d ->
+    ( Printf.sprintf "%s of a %d-byte frame" (show_damage d) len,
+      apply_damage frame d,
+      Some (expected_verdict ~frame_len:len d) )
+  in
+  let arbitrary =
+    string_size ~gen:char (0 -- 60) >|= fun s ->
+    ("arbitrary bytes", Bytes.of_string s, None)
+  in
+  (* Arbitrary bytes behind a plausible first byte and a correct header
+     checksum: only the total length decides. *)
+  let sealed =
+    string_size ~gen:char (Ipv4.header_size -- 60) >|= fun s ->
+    let b = Bytes.of_string s in
+    Bytes.set_uint8 b 0 0x45;
+    reseal b;
+    ("sealed arbitrary bytes", b, None)
+  in
+  frequency [ (6, damaged); (2, arbitrary); (2, sealed) ]
+
+let prop_ipv4_valid_agrees_with_peek =
+  QCheck.Test.make ~name:"valid and accessors agree with peek" ~count:3000
+    (QCheck.make
+       ~print:(fun (what, b, _) -> Printf.sprintf "%s: %s" what (hex b))
+       frame_case_gen)
+    (fun (_, buf, expect) ->
+      let accepted = Ipv4.valid buf in
+      let got = Ipv4.peek buf in
+      (match expect with None -> true | Some v -> String.equal v (verdict got))
+      &&
+      match got with
+      | Ok h ->
+          accepted
+          && Ipv4.peek_proto buf = Ipv4.Proto.to_int h.Ipv4.proto
+          && Ipv4.peek_dst buf
+             = Int32.to_int (Addr.to_int32 h.Ipv4.dst) land 0xffffffff
+      | Error _ -> not accepted)
+
+(* --- allocation ---------------------------------------------------------- *)
+
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Words [f] allocates per call, over 1000 calls. *)
+let words_per_call f =
+  let rounds n () =
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (f ()))
+    done
+  in
+  rounds 10 ();
+  (minor_words_of (rounds 1000) -. minor_words_of (rounds 0)) /. 1000.
+
+(* One minor-heap bytes block of [n] bytes: a header word plus [n/8 + 1]
+   data words (the last holds the padding byte). *)
+let bytes_block_words n = float ((n / 8) + 2)
+
+let test_encode_allocates_the_frame () =
+  let h = mk_header () and payload = Bytes.make 100 'p' in
+  let dgram = { Udpw.src_port = 7; dst_port = 9; payload } in
+  check (Alcotest.float 0.) "Ipv4.encode: the frame only"
+    (bytes_block_words (Ipv4.header_size + 100))
+    (words_per_call (fun () -> Ipv4.encode h ~payload));
+  check (Alcotest.float 0.) "Udp_wire.encode: the datagram only"
+    (bytes_block_words (Udpw.header_size + 100))
+    (words_per_call (fun () -> Udpw.encode ~src ~dst dgram))
+
+let test_header_check_allocates_nothing () =
+  let good = Ipv4.encode (mk_header ()) ~payload:(Bytes.make 64 'g') in
+  let bad = Bytes.copy good in
+  Bytes.set_uint8 bad 8 (Bytes.get_uint8 bad 8 lxor 1);
+  List.iter
+    (fun (what, frame) ->
+      check (Alcotest.float 0.) what 0.
+        (words_per_call (fun () ->
+             Ipv4.valid frame
+             && Ipv4.peek_proto frame + Ipv4.peek_dst frame > 0)))
+    [ ("valid frame", good); ("bad checksum", bad);
+      ("short frame", Bytes.sub good 0 12) ]
 
 (* --- UDP wire ------------------------------------------------------------ *)
 
@@ -541,13 +775,19 @@ let prop_udp_roundtrip =
           && Bytes.equal d'.Udpw.payload payload
       | Error _ -> false)
 
+(* Both entry points against the independent reference writer, over
+   arbitrary pseudo-header addresses. *)
 let prop_udp_encode_into_matches_encode =
-  QCheck.Test.make ~name:"udp encode_into equals encode" ~count:300
-    QCheck.(triple (1 -- 0xffff) (1 -- 0xffff) arb_bytes)
-    (fun (sp, dp, payload) ->
-      let reference =
-        Udpw.encode ~src ~dst { Udpw.src_port = sp; dst_port = dp; payload }
-      in
+  QCheck.Test.make ~name:"udp encode_into equals encode" ~count:500
+    QCheck.(
+      pair
+        (triple (0 -- 0xffff) (0 -- 0xffff) arb_bytes)
+        (pair (0 -- 0xffffffff) (0 -- 0xffffffff)))
+    (fun ((sp, dp, payload), (s, d)) ->
+      let src = Addr.of_int32 (Int32.of_int s)
+      and dst = Addr.of_int32 (Int32.of_int d) in
+      let dgram = { Udpw.src_port = sp; dst_port = dp; payload } in
+      let reference = Ref_wire.udp ~src ~dst dgram in
       let pos = 20 in
       let plen = Bytes.length payload in
       let buf = Bytes.create (pos + Udpw.header_size + plen) in
@@ -557,7 +797,28 @@ let prop_udp_encode_into_matches_encode =
           buf ~pos
       in
       total = Bytes.length reference
-      && Bytes.equal reference (Bytes.sub buf pos total))
+      && Bytes.equal reference (Bytes.sub buf pos total)
+      && Bytes.equal reference (Udpw.encode ~src ~dst dgram))
+
+(* RFC 768: a computed checksum of zero goes on the wire as all ones.  The
+   payload word is chosen to cancel the rest of the sum, which random
+   payloads hit once in 65535. *)
+let test_udp_zero_checksum_as_ones () =
+  let dgram payload = { Udpw.src_port = 1000; dst_port = 2000; payload } in
+  let zeroed = Udpw.encode ~src ~dst (dgram (Bytes.make 2 '\000')) in
+  let cancel = Bytes.create 2 in
+  Bytes.set_uint16_be cancel 0 (Bytes.get_uint16_be zeroed 6);
+  let d = dgram cancel in
+  let frame = Bytes.create (Udpw.header_size + 2) in
+  Bytes.blit cancel 0 frame Udpw.header_size 2;
+  ignore
+    (Udpw.encode_into ~src ~dst ~src_port:1000 ~dst_port:2000 ~payload_len:2
+       frame ~pos:0);
+  List.iter
+    (fun (what, b) ->
+      check Alcotest.int what 0xffff (Bytes.get_uint16_be b 6))
+    [ ("reference", Ref_wire.udp ~src ~dst d); ("encode", Udpw.encode ~src ~dst d);
+      ("encode_into", frame) ]
 
 (* --- ICMP ---------------------------------------------------------------- *)
 
@@ -637,6 +898,7 @@ let () =
           qcheck prop_ipv4_roundtrip;
           qcheck prop_ipv4_peek_matches_decode;
           qcheck prop_ipv4_encode_into_matches_encode;
+          qcheck prop_ipv4_valid_agrees_with_peek;
           qcheck prop_patch_ttl_matches_recompute;
           Alcotest.test_case "patch_ttl rejects ttl=0" `Quick
             test_patch_ttl_rejects_zero;
@@ -661,6 +923,15 @@ let () =
           Alcotest.test_case "checksum" `Quick test_udp_checksum;
           qcheck prop_udp_roundtrip;
           qcheck prop_udp_encode_into_matches_encode;
+          Alcotest.test_case "zero checksum sent as all ones" `Quick
+            test_udp_zero_checksum_as_ones;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "encode allocates the frame only" `Quick
+            test_encode_allocates_the_frame;
+          Alcotest.test_case "header check allocates nothing" `Quick
+            test_header_check_allocates_nothing;
         ] );
       ( "icmp",
         [
